@@ -198,7 +198,9 @@ def load_dataset(name: str, *, seed: RngLike = 0, scale_factor: float = 1.0,
         },
     )
     if cache:
-        _DATASET_CACHE[cache_key] = dataset
+        # Threads that generated the same key concurrently all return the
+        # first stored dataset, so they share one graph (and its operator).
+        dataset = _DATASET_CACHE.setdefault(cache_key, dataset)
     return dataset
 
 

@@ -29,7 +29,7 @@ import time
 from concurrent.futures import (ProcessPoolExecutor, ThreadPoolExecutor,
                                 as_completed)
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ExperimentCell, ExperimentSpec
 
@@ -58,10 +58,25 @@ def summary_record(summary: "EvaluationSummary") -> Dict[str, object]:
         "accuracies": [float(value) for value in summary.accuracies],
         "mean_accuracy": summary.mean_accuracy,
         "std_accuracy": summary.std_accuracy,
-        "mean_learning_time": summary.mean_learning_time,
-        "mean_precompute_time": summary.mean_precompute_time,
+        "learning_time": summary.learning_time,
+        "operator_precompute_time": summary.operator_precompute_time,
         "mean_aggregation_time": summary.mean_aggregation_time,
     }
+
+
+def record_times(record: Dict[str, Any]) -> Tuple[float, float]:
+    """``(operator_precompute_time, learning_time)`` of a cell record.
+
+    Records stored before those fields existed carry the per-repeat means
+    ``mean_precompute_time``/``mean_learning_time`` instead.  Every repeat
+    recomputed the operator then, so those means measured the same costs
+    and ``--resume`` keeps serving such records.
+    """
+    if "operator_precompute_time" in record:
+        return (float(record["operator_precompute_time"]),
+                float(record["learning_time"]))
+    return (float(record["mean_precompute_time"]),
+            float(record["mean_learning_time"]))
 
 
 def evaluation_cell(cell: ExperimentCell) -> Dict[str, object]:
@@ -393,4 +408,5 @@ def legacy_run(name: str) -> Callable[..., object]:
 
 
 __all__ = ["CellOutcome", "ExperimentRun", "evaluation_cell",
-           "summary_record", "execute", "run_experiment", "legacy_run"]
+           "summary_record", "record_times", "execute", "run_experiment",
+           "legacy_run"]

@@ -27,7 +27,7 @@ from repro.config import (
     merge_experiment_simrank_kwargs,
 )
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
-from repro.experiments.engine import run_experiment
+from repro.experiments.engine import record_times, run_experiment
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 
@@ -90,12 +90,13 @@ def spec(dataset_name: str = "pokec", *,
 def _reduce(spec: ExperimentSpec, cells) -> Fig6Result:
     result = Fig6Result(dataset=spec.base.dataset)
     for outcome in cells:
+        precompute, learn = record_times(outcome.record)
         result.cells.append({
             "epsilon": outcome.spec.simrank.epsilon,
             "top_k": outcome.spec.simrank.top_k,
             "accuracy": round(100 * outcome.record["mean_accuracy"], 2),
-            "precompute": round(outcome.record["mean_precompute_time"], 3),
-            "learn": round(outcome.record["mean_learning_time"], 3),
+            "precompute": round(precompute, 3),
+            "learn": round(learn, 3),
         })
     return result
 

@@ -4,8 +4,13 @@ Pipeline (paper §III.B, Fig. 3):
 
 1. **Precompute** the approximate SimRank matrix ``S`` with LocalPush
    (Algorithm 1) or an exact/series computation on small graphs, pruned to
-   the top-k scores per node.  This happens once, before training, and is
-   charged to the ``"precompute"`` timing bucket.
+   the top-k scores per node.  This happens once per graph and operator
+   config per process, before training: every SIGMA model built later on
+   the same graph object with an equal config (repeats, sweep points,
+   ablation variants) shares the read-only operator through
+   :func:`repro.simrank.topk.shared_simrank_operator`.  The time is
+   charged to the ``"precompute"`` timing bucket, so only the model that
+   computed the operator carries its cost.
 2. **Embed** adjacency rows and features with two MLPs and join them with a
    third (Eq. (4)):
    ``H = MLP_H(δ·MLP_X(X) + (1 − δ)·MLP_A(A))``.
@@ -44,7 +49,7 @@ from repro.nn.linear import Linear
 from repro.nn.mlp import MLP
 from repro.nn.module import Parameter
 from repro.propagation.sparse_ops import SparsePropagation
-from repro.simrank.topk import simrank_operator
+from repro.simrank.topk import shared_simrank_operator
 from repro.utils.rng import RngLike, ensure_rng
 
 OperatorMode = Literal["simrank", "simrank_adj"]
@@ -172,7 +177,7 @@ class SIGMA(NodeClassifier):
         self.propagation: Optional[SparsePropagation] = None
         if use_simrank:
             with self.timing.measure("precompute"):
-                operator = simrank_operator(graph, config=simrank)
+                operator = shared_simrank_operator(graph, simrank)
                 matrix = operator.matrix
                 if operator_mode == "simrank_adj":
                     # Localised ablation: restrict aggregation weights to the

@@ -25,7 +25,7 @@ from repro.nn.activations import ReLU
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.propagation.sparse_ops import SparsePropagation
-from repro.simrank.topk import simrank_operator
+from repro.simrank.topk import shared_simrank_operator
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -34,8 +34,9 @@ class SIGMAIterative(NodeClassifier):
 
     The operator precompute is configured by ``simrank=`` (a
     :class:`repro.config.SimRankConfig`, defaulting to the paper's
-    ``ε = 0.1``, ``k = 32``); the pre-config keywords remain accepted as
-    deprecated shims exactly as in :class:`repro.models.sigma.SIGMA`.
+    ``ε = 0.1``, ``k = 32``) and shared per graph exactly as in
+    :class:`repro.models.sigma.SIGMA`; the pre-config keywords remain
+    accepted as deprecated shims there too.
     """
 
     def __init__(self, graph: Graph, *, hidden: int = 64, num_layers: int = 2,
@@ -66,7 +67,7 @@ class SIGMAIterative(NodeClassifier):
         self.num_layers = num_layers
         self.simrank_config = simrank
         with self.timing.measure("precompute"):
-            operator = simrank_operator(graph, config=simrank)
+            operator = shared_simrank_operator(graph, simrank)
         self.simrank = operator
         self.propagation = SparsePropagation(operator.matrix, timing=self.timing)
         self._adjacency = graph.adjacency.tocsr()

@@ -129,6 +129,21 @@ arguments.  Enable the cache by setting ``cache_dir`` (and optionally
 ``cache_max_bytes``) on the :class:`repro.config.SimRankConfig` passed
 to ``simrank_operator`` / ``SIGMA(simrank=...)`` / a ``RunSpec``, or via
 the CLI flag ``--simrank-cache-dir``.
+
+In-process reuse versus the persistent cache
+--------------------------------------------
+:func:`simrank_operator` itself is pure: each call computes, or loads
+from the persistent cache when ``cache_dir`` is set.  The SIGMA models
+call :func:`repro.simrank.topk.shared_simrank_operator` instead, which
+without a ``cache_dir`` computes the operator once per live
+:class:`repro.graphs.graph.Graph` object and equal config in the
+process.  Repeats, sweep points and ablation variants built on one graph
+(for example a dataset memoised by ``load_dataset``) then share one
+operator whose matrix arrays are read-only.  Graphs are never modified
+in place, so the entry is valid for the graph's lifetime and is dropped
+when the graph is collected.  With a ``cache_dir`` the persistent cache
+is the only reuse path, so its hits, stores and ``cache_hit`` flags are
+those of a plain call, and it also carries operators across processes.
 """
 
 from repro.simrank.cache import (
@@ -149,7 +164,11 @@ from repro.simrank.localpush import (
 )
 from repro.simrank.localpush_vec import localpush_simrank_vectorized
 from repro.simrank.sharded import localpush_simrank_sharded
-from repro.simrank.topk import simrank_operator, topk_simrank
+from repro.simrank.topk import (
+    shared_simrank_operator,
+    simrank_operator,
+    topk_simrank,
+)
 from repro.simrank.pairwise_walk import (
     homophily_probability,
     pairwise_meeting_probability,
@@ -172,6 +191,7 @@ __all__ = [
     "AUTO_SHARDED_MIN_NODES",
     "topk_simrank",
     "simrank_operator",
+    "shared_simrank_operator",
     "OperatorCache",
     "get_operator_cache",
     "graph_fingerprint",

@@ -6,13 +6,21 @@ aggregation cost (``O(k·n·f)``, Table III).  :func:`simrank_operator`
 bundles the full precomputation pipeline used by the SIGMA model:
 
 ``graph → (exact | series | localpush) SimRank → top-k prune → CSR operator``
+
+:func:`simrank_operator` is a pure function: every call computes (or
+loads from the persistent cache).  :func:`shared_simrank_operator` is
+what the SIGMA models call: it computes the operator once per live graph
+and config in this process and hands every later caller the same
+read-only :class:`SimRankOperator`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Literal, Optional, Union
+import threading
+import weakref
+from dataclasses import dataclass, field
+from typing import Dict, Literal, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -227,4 +235,54 @@ def _simrank_operator(graph: Graph, config: SimRankConfig,
     return operator
 
 
-__all__ = ["topk_simrank", "simrank_operator", "SimRankOperator"]
+@dataclass
+class _SharedSlot:
+    """One memo entry; its lock lets one thread compute while others wait."""
+
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    operator: Optional[SimRankOperator] = None
+
+
+#: ``id(graph) → {config → slot}`` for every live graph that has a shared
+#: operator.  A ``weakref.finalize`` per graph drops its entry when the
+#: graph is collected, so no id is reused while its entry remains.
+_SHARED: Dict[int, Dict[SimRankConfig, _SharedSlot]] = {}
+_SHARED_LOCK = threading.Lock()
+
+
+def shared_simrank_operator(graph: Graph,
+                            config: SimRankConfig) -> SimRankOperator:
+    """The operator of ``graph`` under ``config``, computed once per process.
+
+    Every call with the same live ``graph`` object and an equal
+    ``config`` returns the same :class:`SimRankOperator`, whose matrix
+    arrays are read-only; the first caller computes it with
+    :func:`simrank_operator` while concurrent callers for that pair wait
+    for it.  This is sound because a :class:`Graph` is never modified in
+    place (:meth:`Graph.apply_delta` returns a new graph), and the entry
+    lives exactly as long as the graph does.  With ``config.cache_dir``
+    set, the persistent :class:`OperatorCache` is the only reuse path:
+    every call goes straight to :func:`simrank_operator`, so cache hits,
+    stores and ``cache_hit`` are those of an unshared call.
+    """
+    if config.cache_dir is not None:
+        return simrank_operator(graph, config)
+    key = id(graph)
+    with _SHARED_LOCK:
+        slots = _SHARED.get(key)
+        if slots is None:
+            slots = _SHARED[key] = {}
+            weakref.finalize(graph, _SHARED.pop, key, None)
+        slot = slots.setdefault(config, _SharedSlot())
+    with slot.lock:
+        if slot.operator is None:
+            operator = simrank_operator(graph, config)
+            matrix = operator.matrix
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                array.flags.writeable = False
+            slot.operator = operator
+        return slot.operator
+
+
+__all__ = ["topk_simrank", "simrank_operator", "shared_simrank_operator",
+           "SimRankOperator"]

@@ -38,12 +38,26 @@ class EvaluationSummary:
         return float(np.std(self.accuracies))
 
     @property
-    def mean_learning_time(self) -> float:
-        return float(np.mean([result.learning_time for result in self.results]))
-
-    @property
     def mean_precompute_time(self) -> float:
         return float(np.mean([result.timing.precompute for result in self.results]))
+
+    @property
+    def operator_precompute_time(self) -> float:
+        """One-time operator cost: the precompute time summed over repeats.
+
+        Without a persistent cache the repeats share one operator per
+        graph (:func:`repro.simrank.topk.shared_simrank_operator`), so the
+        first repeat pays for it and the others find it ready; the mean
+        would divide that one-time cost by the number of repeats.
+        """
+        return float(sum(result.timing.precompute for result in self.results))
+
+    @property
+    def learning_time(self) -> float:
+        """Table VII's Learn column: the one-time operator cost plus the
+        mean training time of one run."""
+        return self.operator_precompute_time + float(
+            np.mean([result.timing.training for result in self.results]))
 
     @property
     def mean_aggregation_time(self) -> float:
@@ -55,8 +69,8 @@ class EvaluationSummary:
             "dataset": self.dataset,
             "accuracy_mean": round(100 * self.mean_accuracy, 2),
             "accuracy_std": round(100 * self.std_accuracy, 2),
-            "learning_time": round(self.mean_learning_time, 3),
-            "precompute_time": round(self.mean_precompute_time, 3),
+            "learning_time": round(self.learning_time, 3),
+            "precompute_time": round(self.operator_precompute_time, 3),
             "aggregation_time": round(self.mean_aggregation_time, 3),
         }
 
