@@ -3,9 +3,10 @@
 Compares the decoupled heterophilous methods (LINKX, GloGNN, SIGMA) by
 total learning time, split into precomputation (SIGMA's SimRank
 construction) and aggregation (time spent inside the graph-aggregation
-operators during training).  The repeats of a cell share one operator, so
-``pre`` is that one-time cost (summed over the repeats, not averaged) and
-``learn`` is ``pre`` plus the mean training time of one run.  The expected
+operators during training).  SIGMA's repeats share one operator, so
+``pre`` is one cold precompute (the largest over the cell's repeats, not
+their mean) and ``learn`` is ``pre`` plus the mean training time of one
+run.  The expected
 shape is the paper's: SIGMA's precompute is cheap, its aggregation is far
 cheaper than GloGNN's iterative whole-graph aggregation, and SIGMA has the
 lowest total learning time.

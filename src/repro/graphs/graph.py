@@ -47,6 +47,11 @@ class Graph:
     labels: Optional[np.ndarray] = None
     name: str = "graph"
     _degrees: np.ndarray = field(init=False, repr=False, default=None)
+    #: The in-process SIGMA operator memo entry of this graph object, owned
+    #: by :func:`repro.simrank.topk.shared_simrank_operator`.  It lives and
+    #: dies with the graph, which is never modified in place.
+    _shared_operator: Optional[object] = field(
+        init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         self.adjacency = _as_csr(self.adjacency)
@@ -269,6 +274,13 @@ class Graph:
 
     def with_labels(self, labels: np.ndarray) -> "Graph":
         return Graph(self.adjacency, features=self.features, labels=labels, name=self.name)
+
+    def __getstate__(self) -> dict:
+        # The memo entry holds a lock and belongs to this object in this
+        # process; a pickled or deep-copied graph starts without one.
+        state = dict(self.__dict__)
+        state["_shared_operator"] = None
+        return state
 
     def copy(self) -> "Graph":
         return Graph(

@@ -140,8 +140,10 @@ without a ``cache_dir`` computes the operator once per live
 process.  Repeats, sweep points and ablation variants built on one graph
 (for example a dataset memoised by ``load_dataset``) then share one
 operator whose matrix arrays are read-only.  Graphs are never modified
-in place, so the entry is valid for the graph's lifetime and is dropped
-when the graph is collected.  With a ``cache_dir`` the persistent cache
+in place, so the entry is valid for the graph's lifetime; it is a private
+field of the graph and is dropped with it.  A graph keeps only the entry
+of the config it was last asked for, so an ``ε``/``k`` sweep on one graph
+holds one operator at a time.  With a ``cache_dir`` the persistent cache
 is the only reuse path, so its hits, stores and ``cache_hit`` flags are
 those of a plain call, and it also carries operators across processes.
 """

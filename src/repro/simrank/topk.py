@@ -10,17 +10,16 @@ bundles the full precomputation pipeline used by the SIGMA model:
 :func:`simrank_operator` is a pure function: every call computes (or
 loads from the persistent cache).  :func:`shared_simrank_operator` is
 what the SIGMA models call: it computes the operator once per live graph
-and config in this process and hands every later caller the same
-read-only :class:`SimRankOperator`.
+and config in this process (keeping the latest config's per graph) and
+hands every later caller the same read-only :class:`SimRankOperator`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Literal, Optional, Union
+from typing import Literal, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -239,14 +238,12 @@ def _simrank_operator(graph: Graph, config: SimRankConfig,
 class _SharedSlot:
     """One memo entry; its lock lets one thread compute while others wait."""
 
+    config: SimRankConfig
     lock: threading.Lock = field(default_factory=threading.Lock)
     operator: Optional[SimRankOperator] = None
 
 
-#: ``id(graph) → {config → slot}`` for every live graph that has a shared
-#: operator.  A ``weakref.finalize`` per graph drops its entry when the
-#: graph is collected, so no id is reused while its entry remains.
-_SHARED: Dict[int, Dict[SimRankConfig, _SharedSlot]] = {}
+#: Guards the choice of a graph's memo entry, not the computation.
 _SHARED_LOCK = threading.Lock()
 
 
@@ -259,21 +256,21 @@ def shared_simrank_operator(graph: Graph,
     arrays are read-only; the first caller computes it with
     :func:`simrank_operator` while concurrent callers for that pair wait
     for it.  This is sound because a :class:`Graph` is never modified in
-    place (:meth:`Graph.apply_delta` returns a new graph), and the entry
-    lives exactly as long as the graph does.  With ``config.cache_dir``
-    set, the persistent :class:`OperatorCache` is the only reuse path:
-    every call goes straight to :func:`simrank_operator`, so cache hits,
-    stores and ``cache_hit`` are those of an unshared call.
+    place (:meth:`Graph.apply_delta` returns a new graph).  The entry is a
+    private field of the graph, so it lives exactly as long as the graph
+    does, and a graph keeps only its most recent config's entry: a sweep
+    over ``ε``/``k`` on one graph holds one operator at a time, not one per
+    config.  With ``config.cache_dir`` set, the persistent
+    :class:`OperatorCache` is the only reuse path: every call goes
+    straight to :func:`simrank_operator`, so cache hits, stores and
+    ``cache_hit`` are those of an unshared call.
     """
     if config.cache_dir is not None:
         return simrank_operator(graph, config)
-    key = id(graph)
     with _SHARED_LOCK:
-        slots = _SHARED.get(key)
-        if slots is None:
-            slots = _SHARED[key] = {}
-            weakref.finalize(graph, _SHARED.pop, key, None)
-        slot = slots.setdefault(config, _SharedSlot())
+        slot = graph._shared_operator
+        if not isinstance(slot, _SharedSlot) or slot.config != config:
+            slot = graph._shared_operator = _SharedSlot(config)
     with slot.lock:
         if slot.operator is None:
             operator = simrank_operator(graph, config)

@@ -43,14 +43,19 @@ class EvaluationSummary:
 
     @property
     def operator_precompute_time(self) -> float:
-        """One-time operator cost: the precompute time summed over repeats.
+        """One cold precompute of the cell: the largest over its repeats.
 
-        Without a persistent cache the repeats share one operator per
-        graph (:func:`repro.simrank.topk.shared_simrank_operator`), so the
-        first repeat pays for it and the others find it ready; the mean
-        would divide that one-time cost by the number of repeats.
+        SIGMA's repeats share one operator per graph
+        (:func:`repro.simrank.topk.shared_simrank_operator`), so the first
+        repeat pays for it and the others find it ready; the other models
+        redo their (cheap) precompute in every repeat.  The maximum is one
+        run's cost in both cases, where a mean would divide SIGMA's cost
+        by the number of repeats and a sum would multiply everyone else's.
+        Like a warm persistent cache, an operator that an earlier cell of
+        the same process already computed on this graph object costs only
+        the lookup.
         """
-        return float(sum(result.timing.precompute for result in self.results))
+        return float(max(result.timing.precompute for result in self.results))
 
     @property
     def learning_time(self) -> float:
