@@ -1,6 +1,6 @@
 """Benchmark: LocalPush engine executors (serial/thread/process) vs the dict oracle.
 
-Times the dict reference engine and the unified core under every executor
+Times the dict reference loop and the unified core under every executor
 on a synthetic pokec-style graph, checks the core agrees with the oracle
 within ``ε`` (the equivalence criterion of the test suite) *and* that all
 executors are bit-identical to each other, then appends the result to
@@ -51,7 +51,7 @@ record with the same ``cpu_count``/``num_nodes`` shape and fails on a
 from __future__ import annotations
 
 # repro-lint: disable-file=R8 — this micro-benchmark measures the engine
-# internals themselves (executor pool, dict oracle, synthetic generator),
+# internals themselves (executor pool, reference oracle, synthetic generator),
 # so importing them is its purpose, not an API leak.
 import argparse
 import json
@@ -66,7 +66,7 @@ from repro.errors import ConfigError
 from repro.simrank.engine import EXECUTORS, default_num_workers, localpush_engine
 from repro.simrank.exact import linearized_simrank
 from repro.simrank.kernels import PHASES, PhaseProfile, float32_error_bound
-from repro.simrank.localpush import localpush_simrank
+from repro.simrank.localpush import localpush_reference
 from repro.telemetry import SpanRecorder, Tracer, TracingPhaseProfile, phase_seconds
 from repro.utils.timer import Timer
 
@@ -214,16 +214,10 @@ def build_graph(num_nodes: int, *, average_degree: float, seed: int):
     return generate_synthetic_graph(config, seed=seed)
 
 
-def time_plan(graph, *, backend: str = "auto", executor: str | None = None,
-              epsilon: float, decay: float, num_workers: int,
-              stream_top_k: int | None = None) -> dict:
+def _timed(compute) -> dict:
     timer = Timer()
     with timer:
-        result = localpush_simrank(graph, epsilon=epsilon, decay=decay,
-                                   prune=False, backend=backend,
-                                   executor=executor,
-                                   num_workers=num_workers,
-                                   stream_top_k=stream_top_k)
+        result = compute()
     record = {
         "seconds": timer.elapsed,
         "num_pushes": result.num_pushes,
@@ -232,6 +226,21 @@ def time_plan(graph, *, backend: str = "auto", executor: str | None = None,
     }
     if result.num_workers is not None:
         record["num_workers"] = result.num_workers
+    return record
+
+
+def time_reference(graph, *, epsilon: float, decay: float) -> dict:
+    """One timed run of the per-pair dict oracle (``localpush_reference``)."""
+    return _timed(lambda: localpush_reference(graph, epsilon=epsilon,
+                                              decay=decay, prune=False))
+
+
+def time_plan(graph, *, executor: str, epsilon: float, decay: float,
+              num_workers: int, stream_top_k: int | None = None) -> dict:
+    """One timed unified-core run under ``executor``."""
+    record = _timed(lambda: localpush_engine(
+        graph, epsilon=epsilon, decay=decay, prune=False, executor=executor,
+        num_workers=num_workers, stream_top_k=stream_top_k))
     if stream_top_k is not None:
         record["stream_top_k"] = stream_top_k
     return record
@@ -402,8 +411,7 @@ def run(*, num_nodes: int, average_degree: float, epsilon: float, decay: float,
           f"cpus={cpu_count}")
 
     # Dict oracle first: the within-ε equivalence reference.
-    oracle = time_plan(graph, backend="dict", epsilon=epsilon, decay=decay,
-                       num_workers=num_workers)
+    oracle = time_reference(graph, epsilon=epsilon, decay=decay)
     print(f"  {'dict':>10}: {oracle['seconds']:8.3f}s "
           f"({oracle['num_pushes']} pushes, nnz={oracle['nnz']})")
 

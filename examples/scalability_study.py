@@ -16,25 +16,22 @@ whole pipeline is configured by one object —
 :class:`repro.config.SimRankConfig` — whose execution-plan fields map to
 the flags of this script:
 
-* ``backend`` — engine family: ``"dict"`` (per-pair reference loop, the
-  correctness oracle) or the unified frontier-batched core
-  (:mod:`repro.simrank.engine`), 10–25× faster at these sizes (see
-  ``BENCH_localpush.json``, produced by ``benchmarks/bench_localpush.py``);
-* ``executor`` — how the core's per-round shard pushes run:
+* ``executor`` — how the frontier-batched LocalPush core
+  (:mod:`repro.simrank.engine`) runs its per-round shard pushes:
   ``"serial"`` (in the calling thread), ``"thread"`` (a thread pool;
   scipy's matmul holds the GIL, so gains are modest on CPython) or
   ``"process"`` (a process pool sharing the walk matrix via
-  ``multiprocessing.shared_memory`` — true multi-core scaling);
+  ``multiprocessing.shared_memory`` — true multi-core scaling).  Left
+  at ``"auto"`` (the default) it is ``"serial"`` below 4096 nodes and
+  ``"thread"`` from there up;
 * ``workers`` — thread/process pool size;
 * ``cache_dir`` / ``cache_max_bytes`` — the persistent operator cache: a
   warm cache skips the precompute column entirely, and a looser-ε run
   can even be served from a tighter-ε entry by the cache's cross-ε reuse.
 
 Every executor and worker count produces a **bit-identical** operator,
-and all plans share the ``(1 − c)·ε`` stopping rule and the
-``‖Ŝ − S‖_max < ε`` guarantee, so accuracy is unaffected by the choice;
-``backend="auto"`` (default) picks dict below 256 nodes and the unified
-core above.
+and all share the ``(1 − c)·ε`` stopping rule and the
+``‖Ŝ − S‖_max < ε`` guarantee, so accuracy is unaffected by the choice.
 """
 
 from __future__ import annotations

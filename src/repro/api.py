@@ -153,7 +153,7 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
     """
     from repro.graphs.sparse import sparse_row_normalize
     from repro.simrank.engine import single_source_localpush
-    from repro.simrank.localpush import resolve_execution
+    from repro.simrank.localpush import resolve_executor
 
     cfg = config if config is not None else SimRankConfig()
     if cfg.method == "exact":
@@ -171,11 +171,10 @@ def _query_row(graph: Graph, source: int, config: Optional[SimRankConfig],
             dtype=None if cfg.dtype == "float64" else cfg.dtype)
         if served is not None:
             return served[0]
-    _, executor = resolve_execution(cfg.backend, cfg.executor,
-                                    graph.num_nodes, dtype=cfg.dtype)
     result = single_source_localpush(
         graph, source, decay=cfg.decay, epsilon=cfg.epsilon, prune=True,
-        absorb_residual=True, executor=executor or "serial",
+        absorb_residual=True,
+        executor=resolve_executor(cfg.executor, graph.num_nodes),
         num_workers=cfg.workers, top_k=k, kernel=cfg.kernel,
         dtype=cfg.dtype)
     row = result.row
@@ -192,8 +191,9 @@ def topk(graph: Graph, source: int, k: int,
     broken toward the smaller node id — the order induced by
     :func:`repro.graphs.sparse.top_k_per_row`.  ``S(u, u) = 1`` so
     ``source`` itself leads the list.  With ``config=None`` the library
-    defaults apply (``ε = 0.1``, serial executor); a ``cache_dir`` in the
-    config serves the row from any dominating cached all-pairs operator.
+    defaults apply (``ε = 0.1``, executor by node count); a ``cache_dir``
+    in the config serves the row from any dominating cached all-pairs
+    operator.
     """
     import numpy as np
 

@@ -37,7 +37,6 @@ from typing import Optional
 from repro.api import run
 from repro.config import (
     SIGMA_DEFAULT_SIMRANK,
-    SIMRANK_BACKENDS,
     SIMRANK_DTYPES,
     SIMRANK_EXECUTORS,
     SIMRANK_KERNELS,
@@ -47,7 +46,7 @@ from repro.config import (
     SimRankConfig,
 )
 from repro.datasets.registry import list_datasets
-from repro.models.registry import list_models
+from repro.models.registry import list_models, model_hyperparameters
 from repro.training.config import TrainConfig
 
 #: Single source of the training-loop defaults shown in ``--help``.
@@ -90,26 +89,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="SimRank computation method for SIGMA's "
                              "precompute (default: auto — exactness on "
                              "small graphs, LocalPush above)")
-    parser.add_argument("--simrank-backend", default=None,
-                        choices=SIMRANK_BACKENDS,
-                        help="LocalPush engine family for SIGMA's precompute "
-                             "(SIGMA models only; default: auto — the "
-                             "unified core on large graphs)")
     parser.add_argument("--simrank-executor", default=None,
                         choices=SIMRANK_EXECUTORS,
-                        help="unified-core executor for the LocalPush shard "
-                             "pushes (SIGMA models only; every executor is "
-                             "bit-identical — 'process' shares the walk "
-                             "matrix across a process pool for multi-core "
-                             "scaling)")
+                        help="executor for the LocalPush shard pushes "
+                             "(SIGMA models only; every executor is "
+                             "bit-identical — default: auto, serial below "
+                             "4096 nodes and thread above; 'process' shares "
+                             "the walk matrix across a process pool for "
+                             "multi-core scaling)")
     parser.add_argument("--simrank-kernel", default=None,
                         choices=SIMRANK_KERNELS,
                         help="push-round kernel for the LocalPush core "
                              "(SIGMA models only; every kernel is "
                              "bit-identical per dtype — 'fused' merges "
-                             "shard partials in one pass, 'numba' JITs the "
-                             "frontier extraction when numba is installed, "
-                             "'auto' picks fused)")
+                             "shard partials in one pass, 'scipy' is the "
+                             "reference arithmetic, 'auto' picks fused)")
     parser.add_argument("--simrank-dtype", default=None,
                         choices=SIMRANK_DTYPES,
                         help="working precision of the SimRank operator "
@@ -135,13 +129,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simrank_flags_used(args: argparse.Namespace) -> list[str]:
-    """The SIGMA-only flags present on this command line."""
-    sigma_only = ("decay", "simrank_method", "simrank_backend",
-                  "simrank_executor", "simrank_kernel", "simrank_dtype",
-                  "simrank_workers", "simrank_cache_dir",
-                  "simrank_cache_max_bytes")
-    return [name for name in sigma_only if getattr(args, name) is not None]
+def _flags(names: list[str]) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _unsupported_flags(args: argparse.Namespace) -> Optional[str]:
+    """Why this command line's model cannot take some of its flags.
+
+    The SIGMA-only SimRank flags are rejected for every other model, and
+    a hyper-parameter override (``--hidden``, ``--delta``, ``--top-k``,
+    ``--epsilon``) is rejected when the model's constructor has no such
+    parameter.  Returns ``None`` when every flag applies.
+    """
+    if args.model not in SIMRANK_MODELS:
+        sigma_only = ("decay", "simrank_method", "simrank_executor",
+                      "simrank_kernel", "simrank_dtype", "simrank_workers",
+                      "simrank_cache_dir", "simrank_cache_max_bytes")
+        used = [name for name in sigma_only if getattr(args, name) is not None]
+        if used:
+            return (f"{_flags(used)}: only supported by SIGMA models, "
+                    f"not {args.model!r}")
+    accepted = model_hyperparameters(args.model)
+    unknown = [name for name in build_runspec(args).overrides
+               if name not in accepted]
+    if unknown:
+        return (f"{_flags(unknown)}: not a hyper-parameter of model "
+                f"{args.model!r}")
+    return None
 
 
 def build_runspec(args: argparse.Namespace) -> RunSpec:
@@ -191,12 +205,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return serve_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.model not in SIMRANK_MODELS:
-        rejected = _simrank_flags_used(args)
-        if rejected:
-            flags = ", ".join("--" + name.replace("_", "-") for name in rejected)
-            parser.error(f"{flags}: only supported by SIGMA models, "
-                         f"not {args.model!r}")
+    unsupported = _unsupported_flags(args)
+    if unsupported is not None:
+        parser.error(unsupported)
 
     result = run(build_runspec(args))
     row = result.as_row()

@@ -1,15 +1,13 @@
 """Typed, validated configuration objects — the public API of the system.
 
-PRs 1–3 scaled the LocalPush precompute path, but every knob (backend,
-executor, worker count, cache directory, cache byte cap) travelled as a
-loose keyword argument through six layers: ``simrank_operator`` →
+Every knob of the system travels as one frozen dataclass instead of
+loose keyword arguments through the layers (``simrank_operator`` →
 ``SIGMA``/``SIGMAIterative`` → registry defaults → CLI flags → the
-experiment scripts → the examples.  This module ends that relay with two
-frozen dataclasses:
+experiment scripts → the examples):
 
 * :class:`SimRankConfig` — everything that determines a SimRank
   aggregation operator (method, decay, ε, top-k, normalisation, the
-  LocalPush ``(backend, executor, workers)`` plan and the persistent
+  LocalPush ``(executor, workers, kernel)`` plan and the persistent
   operator cache).  :meth:`SimRankConfig.cache_key_fields` is the
   *single* derivation of the operator-cache key fields; the cache merely
   hashes them.
@@ -22,21 +20,12 @@ Both are immutable (``with_overrides`` returns modified copies),
 validated in ``__post_init__`` (raising :class:`repro.errors.ConfigError`)
 and serialisable via ``to_dict``/``from_dict`` so benchmark records and
 experiment manifests can embed the exact configuration they ran.
-
-Every legacy keyword (``simrank_backend=``, ``simrank_executor=``,
-``cache=``, ``cache_max_bytes=``, …) remains accepted by the consuming
-layers as a deprecated shim: the shim builds the equivalent config and
-emits a :class:`DeprecationWarning` — one per deprecated keyword — and
-the resulting operator *and* on-disk cache key are identical to the
-config path (pinned by ``tests/test_config.py``), so existing caches
-stay warm.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import (TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping,
                     Optional, Sequence, Tuple)
@@ -51,9 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DEFAULT_DECAY = 0.6
 
 SIMRANK_METHODS: Tuple[str, ...] = ("exact", "series", "localpush", "auto")
-SIMRANK_BACKENDS: Tuple[str, ...] = ("dict", "vectorized", "sharded", "auto")
 SIMRANK_EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process", "auto")
-SIMRANK_KERNELS: Tuple[str, ...] = ("auto", "scipy", "fused", "numba")
+SIMRANK_KERNELS: Tuple[str, ...] = ("auto", "scipy", "fused")
 SIMRANK_DTYPES: Tuple[str, ...] = ("float64", "float32")
 
 #: Registry names of the models that consume a :class:`SimRankConfig`.
@@ -64,8 +52,7 @@ SIMRANK_MODELS: Tuple[str, ...] = ("sigma", "sigma_iterative")
 #: :meth:`SimRankConfig.cache_key_fields` is the only code that derives
 #: their values from a configuration.
 CACHE_KEY_FIELDS: Tuple[str, ...] = (
-    "method", "decay", "epsilon", "top_k", "row_normalize", "backend",
-    "dtype")
+    "method", "decay", "epsilon", "top_k", "row_normalize", "dtype")
 
 #: SimRankConfig fields that deliberately stay OUT of the operator-cache
 #: key.  Every field must be either cache-keyed or listed here with a
@@ -76,9 +63,9 @@ CACHE_KEY_FIELDS: Tuple[str, ...] = (
 #: * ``exact_size_limit`` — auto-resolution knob only; its effect is
 #:   keyed through the *resolved* method.
 #: * ``executor``, ``workers`` — execution plan; every executor × worker
-#:   count is bit-identical (PR 3), so keying them would split the cache.
-#: * ``kernel`` — push-round kernel (scipy/fused/numba); every kernel is
-#:   bit-identical for a given ``dtype`` (the fused/numba paths reproduce
+#:   count is bit-identical, so keying them would split the cache.
+#: * ``kernel`` — push-round kernel (scipy/fused); every kernel is
+#:   bit-identical for a given ``dtype`` (the fused path reproduces
 #:   scipy's summation order exactly — pinned by the kernel-equivalence
 #:   suite), so keying it would split the cache the same way keying the
 #:   executor would.  Numeric identity is keyed through ``dtype``.
@@ -87,27 +74,6 @@ CACHE_KEY_FIELDS: Tuple[str, ...] = (
 CACHE_KEY_EXEMPT: Tuple[str, ...] = (
     "exact_size_limit", "executor", "workers", "kernel", "cache_dir",
     "cache_max_bytes")
-
-
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from an explicit value."""
-
-    _singleton: Optional["_Unset"] = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Default value for deprecated keyword parameters: "not passed".
-UNSET = _Unset()
 
 
 def _require(condition: bool, message: str) -> None:
@@ -143,15 +109,16 @@ class SimRankConfig:
         The mathematical contract: which fixed point is approximated, to
         what error, in which arithmetic, and how the result is
         pruned/normalised.  These feed the operator-cache key
-        (``dtype="float64"`` is keyed as ``None`` so pre-dtype cache
-        entries stay warm; ``"float32"`` gets its own key — its values
-        and error bound differ, see
+        (``dtype="float64"`` is keyed as ``None``; ``"float32"`` gets
+        its own key — its values and error bound differ, see
         :func:`repro.simrank.kernels.float32_error_bound`).
-    ``backend, executor, workers, kernel``
+    ``executor, workers, kernel``
         The LocalPush execution plan (see :mod:`repro.simrank.engine`
-        and :mod:`repro.simrank.kernels`).  Only the resolved backend
-        *label* enters the cache key — every executor, worker count and
-        kernel is bit-identical per dtype.
+        and :mod:`repro.simrank.kernels`).  None of it enters the cache
+        key — every executor, worker count and kernel is bit-identical
+        per dtype.  ``executor=None`` (or ``"auto"``) picks by node
+        count: ``"serial"`` below 4096 nodes, ``"thread"`` from there up
+        (:func:`repro.simrank.localpush.resolve_executor`).
     ``cache_dir, cache_max_bytes``
         The persistent operator cache (:mod:`repro.simrank.cache`) and
         its LRU byte cap.  Pure resource location, never keyed.
@@ -163,7 +130,6 @@ class SimRankConfig:
     top_k: Optional[int] = None
     row_normalize: bool = False
     exact_size_limit: int = 3000
-    backend: str = "auto"
     executor: Optional[str] = None
     workers: Optional[int] = None
     cache_dir: Optional[str] = None
@@ -178,7 +144,6 @@ class SimRankConfig:
         "decay": "decay",
         "epsilon": "epsilon",
         "top_k": "top_k",
-        "simrank_backend": "backend",
         "simrank_executor": "executor",
         "simrank_workers": "workers",
         "simrank_cache_dir": "cache_dir",
@@ -190,8 +155,7 @@ class SimRankConfig:
     def __post_init__(self) -> None:
         # Numeric fields are coerced to canonical types (float/int/bool);
         # besides validation this canonicalises the cache-key payload, so
-        # e.g. epsilon=1 and epsilon=1.0 share one key.  (A pre-config
-        # entry written with a non-canonical type recomputes once.)
+        # e.g. epsilon=1 and epsilon=1.0 share one key.
         coerce = object.__setattr__
         _require(self.method in SIMRANK_METHODS,
                  f"method must be one of {SIMRANK_METHODS}, got {self.method!r}")
@@ -211,8 +175,6 @@ class SimRankConfig:
         _require(self.exact_size_limit >= 0,
                  f"exact_size_limit must be non-negative, "
                  f"got {self.exact_size_limit!r}")
-        _require(self.backend in SIMRANK_BACKENDS,
-                 f"backend must be one of {SIMRANK_BACKENDS}, got {self.backend!r}")
         _require(self.executor is None or self.executor in SIMRANK_EXECUTORS,
                  f"executor must be one of {SIMRANK_EXECUTORS} or None, "
                  f"got {self.executor!r}")
@@ -273,28 +235,13 @@ class SimRankConfig:
             return self.method
         return "series" if num_nodes <= self.exact_size_limit else "localpush"
 
-    def resolved_backend(self, num_nodes: int) -> Optional[str]:
-        """The LocalPush engine-family label entering the cache key.
-
-        ``None`` unless the resolved method is ``"localpush"``.  The
-        executor and worker count never influence the label — all core
-        executors are bit-identical (see ``resolve_execution``).
-        """
-        if self.resolved_method(num_nodes) != "localpush":
-            return None
-        from repro.simrank.localpush import resolve_execution
-
-        backend, _ = resolve_execution(self.backend, self.executor, num_nodes)
-        return backend
-
     def cache_key_fields(self, num_nodes: int) -> Dict[str, object]:
         """The operator-cache key fields for a graph of ``num_nodes``.
 
         This is the *only* derivation of the key tuple in the codebase:
         ``repro.simrank.cache`` hashes exactly this mapping (plus format
-        version and graph fingerprint), and the deprecated-kwarg shims
-        build a config first, so every path produces the same key and
-        caches written before this API existed stay warm.
+        version and graph fingerprint), so every path produces the same
+        key.
         """
         method = self.resolved_method(num_nodes)
         return {
@@ -304,12 +251,9 @@ class SimRankConfig:
             "epsilon": None if method == "exact" else self.epsilon,
             "top_k": self.top_k,
             "row_normalize": self.row_normalize,
-            "backend": self.resolved_backend(num_nodes),
-            # float64 predates the dtype field and is keyed as None — the
-            # cache omits a None dtype from its hashed payload, so every
-            # pre-dtype key (and on-disk entry) is byte-identical and
-            # caches stay warm.  float32 operators hold different values
-            # under a different error bound and get their own key.
+            # float64, the reference precision, is keyed as None; float32
+            # operators hold different values under a different error
+            # bound and get their own key.
             "dtype": None if self.dtype == "float64" else self.dtype,
         }
 
@@ -673,89 +617,6 @@ class TelemetryConfig:
         return base.with_overrides(**overrides) if overrides else base
 
 
-def merge_deprecated_kwargs(config: Optional[SimRankConfig],
-                            deprecated: Mapping[str, Tuple[str, object]],
-                            *, default: Optional[SimRankConfig] = None,
-                            api_hint: str = "config=SimRankConfig(...)",
-                            stacklevel: int = 3) -> SimRankConfig:
-    """Fold legacy keyword arguments into a :class:`SimRankConfig`.
-
-    ``deprecated`` maps each legacy keyword name to ``(config_field,
-    value)``; entries whose value is :data:`UNSET` were not passed and
-    are skipped — callers for whom an explicit ``None`` also means "use
-    the default" (most pool/cache knobs, whose legacy default *was*
-    ``None``) normalise it to ``UNSET`` before calling.  Each remaining
-    keyword emits exactly one :class:`DeprecationWarning` (attributed
-    ``stacklevel`` frames up, i.e. the caller's caller by default).
-    Mixing an explicit ``config`` with legacy keywords is an error —
-    there is no sensible precedence between them.
-    """
-    overrides: Dict[str, object] = {}
-    used = []
-    for name, (field_name, value) in deprecated.items():
-        if value is UNSET:
-            continue
-        used.append(name)
-        overrides[field_name] = value
-    if used and config is not None:
-        # Reject before warning: a call that errors out should surface
-        # the ConfigError, not deprecation advice (which would itself be
-        # promoted under a warnings-as-errors filter).
-        raise ConfigError(
-            "cannot combine an explicit SimRankConfig with the deprecated "
-            f"keyword(s): {', '.join(sorted(used))}")
-    for name in used:
-        warnings.warn(
-            f"the '{name}=' keyword is deprecated; pass {api_hint} instead",
-            DeprecationWarning, stacklevel=stacklevel)
-    base = config if config is not None else (
-        default if default is not None else SimRankConfig())
-    return base.with_overrides(**overrides) if overrides else base
-
-
-def merge_optional_deprecated_kwargs(config: Optional[SimRankConfig],
-                                     deprecated: Mapping[str, Tuple[str, object]],
-                                     *, default: Optional[SimRankConfig] = None,
-                                     api_hint: str = "simrank=SimRankConfig(...)",
-                                     stacklevel: int = 4
-                                     ) -> Optional[SimRankConfig]:
-    """:func:`merge_deprecated_kwargs` for callers where ``None`` means
-    "use the consumer's default config": when no deprecated keyword was
-    actually passed, ``config`` is returned unchanged (possibly ``None``)
-    instead of being materialised.  ``None`` values are treated as "not
-    passed" throughout (every keyword this wrapper serves had ``None``
-    for its legacy default)."""
-    deprecated = {name: (field_name, UNSET if value is None else value)
-                  for name, (field_name, value) in deprecated.items()}
-    if all(value is UNSET for _, value in deprecated.values()):
-        return config
-    return merge_deprecated_kwargs(config, deprecated, default=default,
-                                   api_hint=api_hint, stacklevel=stacklevel)
-
-
-def merge_experiment_simrank_kwargs(config: Optional[SimRankConfig], *,
-                                    simrank_backend: object = UNSET,
-                                    simrank_executor: object = UNSET,
-                                    simrank_workers: object = UNSET,
-                                    simrank_cache_dir: object = UNSET,
-                                    default: Optional[SimRankConfig] = None
-                                    ) -> Optional[SimRankConfig]:
-    """Shared deprecated-kwarg shim of the experiment ``run()`` functions.
-
-    The execution-plan keywords the experiments used to forward
-    (``simrank_backend=`` …) live in exactly one mapping here, so adding
-    the next knob is a one-place change instead of an edit in every
-    experiment module.  Returns ``config`` unchanged (possibly ``None``)
-    when no legacy keyword was passed.
-    """
-    return merge_optional_deprecated_kwargs(config, {
-        "simrank_backend": ("backend", simrank_backend),
-        "simrank_executor": ("executor", simrank_executor),
-        "simrank_workers": ("workers", simrank_workers),
-        "simrank_cache_dir": ("cache_dir", simrank_cache_dir),
-    }, default=default, stacklevel=5)
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One end-to-end evaluation run, declaratively.
@@ -1081,14 +942,12 @@ class ExperimentSpec:
 __all__ = [
     "DEFAULT_DECAY",
     "SIMRANK_METHODS",
-    "SIMRANK_BACKENDS",
     "SIMRANK_EXECUTORS",
     "SIMRANK_KERNELS",
     "SIMRANK_DTYPES",
     "SIMRANK_MODELS",
     "CACHE_KEY_FIELDS",
     "CELL_SPEC_FIELDS",
-    "UNSET",
     "SimRankConfig",
     "DynamicConfig",
     "TelemetryConfig",
@@ -1098,7 +957,4 @@ __all__ = [
     "ExperimentCell",
     "ExperimentSpec",
     "grid_product",
-    "merge_deprecated_kwargs",
-    "merge_optional_deprecated_kwargs",
-    "merge_experiment_simrank_kwargs",
 ]

@@ -9,7 +9,8 @@ graph) while preserving the ordering of sizes and the homophily regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.datasets.dataset import Dataset
@@ -127,7 +128,18 @@ _ALIASES = {
     "twitch": "twitch-gamers",
 }
 
-_DATASET_CACHE: Dict[tuple, Dataset] = {}
+@dataclass
+class _DatasetSlot:
+    """One memo entry; its lock lets one thread generate while others wait."""
+
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    dataset: Optional[Dataset] = None
+
+
+_DATASET_CACHE: Dict[tuple, _DatasetSlot] = {}
+
+#: Guards the choice of a key's memo entry, not the generation.
+_DATASET_CACHE_LOCK = threading.Lock()
 
 
 def list_datasets(scale: Optional[str] = None) -> List[str]:
@@ -167,7 +179,9 @@ def load_dataset(name: str, *, seed: RngLike = 0, scale_factor: float = 1.0,
         5/10 for small/large datasets).
     cache:
         When true (the default), generated datasets are memoised per
-        ``(name, seed, scale_factor, num_splits)``.
+        ``(name, seed, scale_factor, num_splits)``.  Threads that ask for
+        one key concurrently wait for a single generation and share its
+        dataset (and so its graph and in-process SimRank operator).
     """
     spec = get_spec(name)
     splits = num_splits if num_splits is not None else spec.num_splits
@@ -175,16 +189,23 @@ def load_dataset(name: str, *, seed: RngLike = 0, scale_factor: float = 1.0,
         raise DatasetError(f"num_splits must be >= 1, got {splits}")
     if not isinstance(seed, (int, type(None))):
         cache = False
-    cache_key = (spec.name, seed, scale_factor, splits)
-    if cache and cache_key in _DATASET_CACHE:
-        return _DATASET_CACHE[cache_key]
+    if not cache:
+        return _generate_dataset(spec, seed, scale_factor, splits)
+    with _DATASET_CACHE_LOCK:
+        slot = _DATASET_CACHE.setdefault((spec.name, seed, scale_factor, splits),
+                                         _DatasetSlot())
+    with slot.lock:
+        if slot.dataset is None:
+            slot.dataset = _generate_dataset(spec, seed, scale_factor, splits)
+        return slot.dataset
 
-    config = spec.build_config(scale_factor)
-    graph_seed = seed if seed is not None else None
-    graph = generate_synthetic_graph(config, seed=graph_seed)
-    split_seed = (graph_seed + 1) if isinstance(graph_seed, int) else None
+
+def _generate_dataset(spec: DatasetSpec, seed: RngLike, scale_factor: float,
+                      splits: int) -> Dataset:
+    graph = generate_synthetic_graph(spec.build_config(scale_factor), seed=seed)
+    split_seed = (seed + 1) if isinstance(seed, int) else None
     split_list = stratified_splits(graph.labels, num_splits=splits, seed=split_seed)
-    dataset = Dataset(
+    return Dataset(
         graph=graph,
         splits=split_list,
         name=spec.name,
@@ -197,16 +218,12 @@ def load_dataset(name: str, *, seed: RngLike = 0, scale_factor: float = 1.0,
             "paper_edges": spec.paper_edges,
         },
     )
-    if cache:
-        # Threads that generated the same key concurrently all return the
-        # first stored dataset, so they share one graph (and its operator).
-        dataset = _DATASET_CACHE.setdefault(cache_key, dataset)
-    return dataset
 
 
 def clear_dataset_cache() -> None:
     """Drop all memoised datasets (useful in long test sessions)."""
-    _DATASET_CACHE.clear()
+    with _DATASET_CACHE_LOCK:
+        _DATASET_CACHE.clear()
 
 
 __all__ = [

@@ -27,7 +27,7 @@ from repro.graphs.normalize import column_normalize
 from repro.graphs.sparse import csr_row_indices, sparse_row_normalize
 from repro.simrank.cache import OperatorCache, get_operator_cache
 from repro.simrank.engine import resume_localpush
-from repro.simrank.localpush import finalize_estimate, resolve_execution
+from repro.simrank.localpush import finalize_estimate, resolve_executor
 from repro.simrank.topk import SimRankOperator, topk_simrank
 from repro.utils.timer import Timer
 
@@ -164,13 +164,7 @@ class DynamicOperator:
             dtype="float64")
         self._maintenance_fields: Dict[str, object] = \
             maintenance.cache_key_fields(num_nodes)
-        backend, executor = resolve_execution(
-            simrank.backend, simrank.executor, num_nodes)
-        if executor is None:
-            # The dict reference engine has no resumable round loop; the
-            # unified core's serial executor is its bit-compatible stand-in.
-            executor = "serial"
-        self._executor = executor
+        self._executor = resolve_executor(simrank.executor, num_nodes)
         self.updates_applied = 0
         self.repair_pushes = 0
         self.repair_seconds = 0.0
@@ -372,7 +366,6 @@ class DynamicOperator:
             epsilon=epsilon,
             top_k=None if top_k is None else int(top_k),
             precompute_seconds=0.0,
-            backend=str(self._maintenance_fields["backend"]),
             row_normalize=row_normalize,
         )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.config import ExperimentSpec
 from repro.experiments import table2_simrank_stats
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.experiments.table2_simrank_stats import (
     DEFAULT_DATASETS,
@@ -69,10 +69,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Fig2Result:
         stat = stats_from_record(outcome.record)
         result.histograms[outcome.spec.dataset] = stat.histogram(bins=bins)
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("fig2")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

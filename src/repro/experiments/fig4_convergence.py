@@ -20,7 +20,7 @@ import numpy as np
 from repro.config import ExperimentCell, ExperimentSpec, RunSpec, grid_product
 from repro.datasets.registry import load_dataset
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 
@@ -122,10 +122,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Fig4Result:
             accuracies=np.asarray(outcome.record["accuracies"], dtype=np.float64),
         ))
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("fig4")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

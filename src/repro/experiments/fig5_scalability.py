@@ -21,13 +21,10 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import (
-    SIGMA_DEFAULT_SIMRANK,
-    UNSET,
     ExperimentCell,
     ExperimentSpec,
     RunSpec,
     SimRankConfig,
-    merge_experiment_simrank_kwargs,
 )
 from repro.datasets.dataset import Dataset
 from repro.datasets.registry import get_spec
@@ -150,28 +147,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Fig5Result:
             learning_seconds=float(outcome.record["learning_seconds"]),
         ))
     return result
-
-
-def run(*args, simrank: Optional[SimRankConfig] = None,
-        simrank_backend: object = UNSET, simrank_executor: object = UNSET,
-        simrank_workers: object = UNSET, simrank_cache_dir: object = UNSET,
-        **kwargs) -> Fig5Result:
-    """Deprecated shim: run the registered ``fig5`` experiment."""
-    import warnings
-
-    warnings.warn(
-        "fig5_scalability.run() is deprecated; use "
-        "repro.experiments.run_experiment('fig5', ...) or the "
-        "'repro-experiment fig5' CLI instead",
-        DeprecationWarning, stacklevel=2)
-    # Legacy keywords fold into the model-default config so the shim
-    # reproduces the old behaviour (top-k 32 etc.) exactly.
-    simrank = merge_experiment_simrank_kwargs(
-        simrank, simrank_backend=simrank_backend,
-        simrank_executor=simrank_executor, simrank_workers=simrank_workers,
-        simrank_cache_dir=simrank_cache_dir, default=SIGMA_DEFAULT_SIMRANK)
-    return run_experiment("fig5", *args, print_result=False, simrank=simrank,
-                          **kwargs)
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

@@ -20,7 +20,7 @@ from repro.config import (
     grid_product,
 )
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
-from repro.experiments.engine import legacy_run, record_times, run_experiment
+from repro.experiments.engine import record_times, run_experiment
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 
@@ -80,10 +80,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Fig7Result:
             "aggregation": round(outcome.record["mean_aggregation_time"], 3),
         })
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("fig7")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

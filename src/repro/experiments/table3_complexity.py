@@ -21,12 +21,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.config import (
-    UNSET,
     ExperimentCell,
     ExperimentSpec,
     RunSpec,
     SimRankConfig,
-    merge_experiment_simrank_kwargs,
 )
 from repro.datasets.registry import load_dataset
 from repro.experiments.common import format_table
@@ -52,7 +50,8 @@ class Table3Result:
     dataset: str
     entries: List[ComplexityEntry] = field(default_factory=list)
     #: Measured SIGMA precompute (LocalPush + top-k) in seconds, when
-    #: requested via ``measure_precompute``; keyed by backend name.
+    #: requested via ``measure_precompute``; keyed by the executor that
+    #: ran it.
     measured_precompute: Dict[str, float] = field(default_factory=dict)
 
     def rows(self) -> List[Dict[str, object]]:
@@ -121,6 +120,7 @@ def complexity_table(graph: Graph, *, hidden: int = 64, num_layers: int = 2,
 def complexity_cell(cell: ExperimentCell) -> Dict[str, object]:
     """Instantiate the analytic table (plus an optional measured timing)."""
     from repro.api import precompute
+    from repro.simrank.localpush import resolve_executor
 
     spec = cell.spec
     dataset = load_dataset(spec.dataset, seed=spec.seed,
@@ -142,8 +142,9 @@ def complexity_cell(cell: ExperimentCell) -> Dict[str, object]:
         operator = precompute(dataset.graph, base.with_overrides(
             method="localpush", epsilon=cell.params["epsilon"],
             top_k=cell.params["top_k"]))
+        executor = resolve_executor(base.executor, dataset.graph.num_nodes)
         record["measured_precompute"] = {
-            str(operator.backend or base.backend): operator.precompute_seconds}
+            executor: operator.precompute_seconds}
     return record
 
 
@@ -155,7 +156,7 @@ def spec(dataset_name: str = "pokec", *, scale_factor: float = 1.0,
 
     With ``measure_precompute=True`` the analytic SIGMA row is
     complemented by a measured LocalPush timing under ``simrank``'s
-    ``(backend, executor, workers)`` plan; with a ``cache_dir`` in the
+    ``(executor, workers, kernel)`` plan; with a ``cache_dir`` in the
     config a repeated run measures the cache load instead.
     """
     base = RunSpec(model="sigma", dataset=dataset_name, simrank=simrank,
@@ -180,29 +181,9 @@ def _reduce(spec: ExperimentSpec, cells) -> Table3Result:
             estimated_ops=float(entry["estimated_ops"]),
         ))
     result.measured_precompute = {
-        str(backend): float(seconds)
-        for backend, seconds in outcome.record["measured_precompute"].items()}
+        str(executor): float(seconds)
+        for executor, seconds in outcome.record["measured_precompute"].items()}
     return result
-
-
-def run(*args, simrank: Optional[SimRankConfig] = None,
-        simrank_backend: object = UNSET, simrank_executor: object = UNSET,
-        simrank_workers: object = UNSET, simrank_cache_dir: object = UNSET,
-        **kwargs) -> Table3Result:
-    """Deprecated shim: run the registered ``table3`` experiment."""
-    import warnings
-
-    warnings.warn(
-        "table3_complexity.run() is deprecated; use "
-        "repro.experiments.run_experiment('table3', ...) or the "
-        "'repro-experiment table3' CLI instead",
-        DeprecationWarning, stacklevel=2)
-    simrank = merge_experiment_simrank_kwargs(
-        simrank, simrank_backend=simrank_backend,
-        simrank_executor=simrank_executor, simrank_workers=simrank_workers,
-        simrank_cache_dir=simrank_cache_dir)
-    return run_experiment("table3", *args, print_result=False, simrank=simrank,
-                          **kwargs)
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

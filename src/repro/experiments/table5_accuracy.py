@@ -26,7 +26,7 @@ from repro.experiments.common import (
     format_table,
     tune_hyperparameters,
 )
-from repro.experiments.engine import legacy_run, run_experiment, summary_record
+from repro.experiments.engine import run_experiment, summary_record
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 
@@ -125,10 +125,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Table5Result:
         result.accuracies[outcome.spec.model][outcome.spec.dataset] = (
             outcome.record["mean_accuracy"], outcome.record["std_accuracy"])
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("table5")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

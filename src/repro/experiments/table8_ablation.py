@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import ExperimentSpec, RunSpec
 from repro.datasets.registry import LARGE_DATASETS
 from repro.experiments.common import DEFAULT_EXPERIMENT_CONFIG, format_table
-from repro.experiments.engine import legacy_run, run_experiment
+from repro.experiments.engine import run_experiment
 from repro.experiments.registry import experiment
 from repro.training.config import TrainConfig
 
@@ -119,10 +119,6 @@ def _reduce(spec: ExperimentSpec, cells) -> Table8Result:
         result.accuracies[label][outcome.spec.dataset] = (
             outcome.record["mean_accuracy"])
     return result
-
-
-#: Deprecated shim — the historical ``run()`` arguments are the builder's.
-run = legacy_run("table8")
 
 
 def main() -> None:  # pragma: no cover - CLI entry point

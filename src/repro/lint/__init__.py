@@ -1,12 +1,11 @@
 """repro.lint — the project's AST-based invariant checker.
 
-PRs 1–5 built the system's correctness story on *conventions*: one
-cache-key derivation, bit-identical executors, frozen configs,
-call-compatible deprecation shims, declarative experiment specs.  This
-package checks those conventions mechanically so the ROADMAP's
-"refactor freely" policy stays safe — a refactor that would silently
-break a cache key, reintroduce nondeterminism or resurrect a deprecated
-path fails ``repro-lint`` (and therefore tier-1, via
+The system's correctness story rests on *conventions*: one cache-key
+derivation, bit-identical executors, frozen configs, declarative
+experiment specs.  This package checks those conventions mechanically
+so the ROADMAP's "refactor freely" policy stays safe — a refactor that
+would silently break a cache key or reintroduce nondeterminism fails
+``repro-lint`` (and therefore tier-1, via
 ``tests/test_lint_clean.py``, and CI's ``static-analysis`` job) before
 it can land.
 
@@ -42,11 +41,9 @@ Rule catalogue
     runner.  Protects: the bit-identical executor guarantee (every
     executor × worker count, same bytes) and the serving layer's
     batched-equals-solo answer guarantee.
-``R4`` deprecation-containment
-    The deprecated shims (``localpush_vec``, ``sharded``, the
-    ``simrank_*=`` keyword relay, experiment-module ``run()``) are
-    referenced only from shim code, and every shim emits a
-    ``DeprecationWarning``.  Protects: deprecated paths stay deletable.
+``R4``
+    Retired with the deprecated shims it fenced in; the number is not
+    reused, so ``R5``–``R8`` keep their IDs.
 ``R5`` registry-consistency
     ``@experiment`` registrations ↔ the ``EXPERIMENT_MODULES``
     lazy-import table stay bijective, every registration has a

@@ -35,12 +35,7 @@ from typing import Literal, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from repro.config import (
-    SIGMA_DEFAULT_SIMRANK,
-    UNSET,
-    SimRankConfig,
-    merge_deprecated_kwargs,
-)
+from repro.config import SIGMA_DEFAULT_SIMRANK, SimRankConfig
 from repro.errors import ModelError
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import sparse_row_normalize
@@ -53,39 +48,6 @@ from repro.simrank.topk import shared_simrank_operator
 from repro.utils.rng import RngLike, ensure_rng
 
 OperatorMode = Literal["simrank", "simrank_adj"]
-
-
-def resolve_sigma_simrank_config(simrank, *, simrank_method, decay, epsilon,
-                                 top_k, simrank_backend, simrank_executor,
-                                 simrank_workers, simrank_cache_dir,
-                                 simrank_cache_max_bytes):
-    """Shared deprecated-kwarg shim of the two SIGMA variants.
-
-    Folds the pre-config keywords into ``simrank`` (defaulting to
-    :data:`repro.config.SIGMA_DEFAULT_SIMRANK`), one
-    :class:`DeprecationWarning` per keyword.  The pool/cache knobs had
-    ``None`` for their legacy default, so an explicit ``None`` there
-    means "default" — but ``top_k=None`` stays an explicit override: the
-    legacy default was 32, and ``None`` is the documented "no pruning"
-    request.
-    """
-    return merge_deprecated_kwargs(simrank, {
-        "simrank_method": ("method", simrank_method),
-        "decay": ("decay", decay),
-        "epsilon": ("epsilon", epsilon),
-        "top_k": ("top_k", top_k),
-        "simrank_backend": ("backend", simrank_backend),
-        "simrank_executor": (
-            "executor", UNSET if simrank_executor is None else simrank_executor),
-        "simrank_workers": (
-            "workers", UNSET if simrank_workers is None else simrank_workers),
-        "simrank_cache_dir": (
-            "cache_dir", UNSET if simrank_cache_dir is None else simrank_cache_dir),
-        "simrank_cache_max_bytes": (
-            "cache_max_bytes",
-            UNSET if simrank_cache_max_bytes is None else simrank_cache_max_bytes),
-    }, default=SIGMA_DEFAULT_SIMRANK, api_hint="simrank=SimRankConfig(...)",
-        stacklevel=4)
 
 
 def _sigmoid(value: float) -> float:
@@ -114,16 +76,10 @@ class SIGMA(NodeClassifier):
         ``learn_alpha=False``.
     simrank:
         A :class:`repro.config.SimRankConfig` describing the operator
-        precompute: method, decay, ε, top-k, the LocalPush ``(backend,
-        executor, workers)`` plan and the persistent operator cache.
+        precompute: method, decay, ε, top-k, the LocalPush ``(executor,
+        workers, kernel)`` plan and the persistent operator cache.
         Defaults to :data:`repro.config.SIGMA_DEFAULT_SIMRANK` (the
-        paper's ``ε = 0.1``, ``k = 32``).  The pre-config keywords
-        (``simrank_method=``, ``epsilon=``, ``top_k=``, ``decay=``,
-        ``simrank_backend=``, ``simrank_executor=``, ``simrank_workers=``,
-        ``simrank_cache_dir=``, ``simrank_cache_max_bytes=``) remain
-        accepted as deprecated shims: each emits a
-        :class:`DeprecationWarning` and folds into an equivalent config
-        with an identical operator and cache key.
+        paper's ``ε = 0.1``, ``k = 32``).
     final_layers:
         Number of layers in ``MLP_H`` (1 for small datasets, 2 for large, as
         in the paper's parameter settings).
@@ -136,22 +92,10 @@ class SIGMA(NodeClassifier):
                  use_simrank: bool = True, use_features: bool = True,
                  use_adjacency: bool = True,
                  operator_mode: OperatorMode = "simrank",
-                 rng: RngLike = None,
-                 simrank_method: object = UNSET, epsilon: object = UNSET,
-                 top_k: object = UNSET, decay: object = UNSET,
-                 simrank_backend: object = UNSET,
-                 simrank_executor: object = UNSET,
-                 simrank_workers: object = UNSET,
-                 simrank_cache_dir: object = UNSET,
-                 simrank_cache_max_bytes: object = UNSET) -> None:
+                 rng: RngLike = None) -> None:
         super().__init__(graph, hidden=hidden)
-        simrank = resolve_sigma_simrank_config(
-            simrank, simrank_method=simrank_method, decay=decay,
-            epsilon=epsilon, top_k=top_k, simrank_backend=simrank_backend,
-            simrank_executor=simrank_executor,
-            simrank_workers=simrank_workers,
-            simrank_cache_dir=simrank_cache_dir,
-            simrank_cache_max_bytes=simrank_cache_max_bytes)
+        if simrank is None:
+            simrank = SIGMA_DEFAULT_SIMRANK
         if not 0.0 <= delta <= 1.0:
             raise ModelError(f"delta must be in [0, 1], got {delta}")
         if not 0.0 <= alpha <= 1.0:

@@ -16,11 +16,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.config import UNSET, SimRankConfig
+from repro.config import SIGMA_DEFAULT_SIMRANK, SimRankConfig
 from repro.errors import ModelError
 from repro.graphs.graph import Graph
 from repro.models.base import NodeClassifier
-from repro.models.sigma import resolve_sigma_simrank_config
 from repro.nn.activations import ReLU
 from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
@@ -35,33 +34,20 @@ class SIGMAIterative(NodeClassifier):
     The operator precompute is configured by ``simrank=`` (a
     :class:`repro.config.SimRankConfig`, defaulting to the paper's
     ``ε = 0.1``, ``k = 32``) and shared per graph exactly as in
-    :class:`repro.models.sigma.SIGMA`; the pre-config keywords remain
-    accepted as deprecated shims there too.
+    :class:`repro.models.sigma.SIGMA`.
     """
 
     def __init__(self, graph: Graph, *, hidden: int = 64, num_layers: int = 2,
                  delta: float = 0.5, dropout: float = 0.5,
                  simrank: Optional[SimRankConfig] = None,
-                 rng: RngLike = None,
-                 simrank_method: object = UNSET, epsilon: object = UNSET,
-                 top_k: object = UNSET, decay: object = UNSET,
-                 simrank_backend: object = UNSET,
-                 simrank_executor: object = UNSET,
-                 simrank_workers: object = UNSET,
-                 simrank_cache_dir: object = UNSET,
-                 simrank_cache_max_bytes: object = UNSET) -> None:
+                 rng: RngLike = None) -> None:
         super().__init__(graph, hidden=hidden)
         if num_layers < 1:
             raise ModelError(f"num_layers must be >= 1, got {num_layers}")
         if not 0.0 <= delta <= 1.0:
             raise ModelError(f"delta must be in [0, 1], got {delta}")
-        simrank = resolve_sigma_simrank_config(
-            simrank, simrank_method=simrank_method, decay=decay,
-            epsilon=epsilon, top_k=top_k, simrank_backend=simrank_backend,
-            simrank_executor=simrank_executor,
-            simrank_workers=simrank_workers,
-            simrank_cache_dir=simrank_cache_dir,
-            simrank_cache_max_bytes=simrank_cache_max_bytes)
+        if simrank is None:
+            simrank = SIGMA_DEFAULT_SIMRANK
         generator = ensure_rng(rng)
         self.delta = float(delta)
         self.num_layers = num_layers

@@ -329,17 +329,15 @@ class SimRankService:
         """Single-source engine rows for ``sources`` in one shared round."""
         from repro.graphs.sparse import sparse_row_normalize
         from repro.simrank.engine import multi_source_localpush
-        from repro.simrank.localpush import resolve_execution
+        from repro.simrank.localpush import resolve_executor
 
         cfg = self.simrank
-        _, executor = resolve_execution(cfg.backend, cfg.executor,
-                                        self.graph.num_nodes,
-                                        dtype=cfg.dtype)
         results = multi_source_localpush(
             self.graph, list(sources), decay=cfg.decay, epsilon=epsilon,
             prune=True, absorb_residual=True,
             max_pushes=self.serve.max_pushes_per_query,
-            executor=executor or "serial", num_workers=cfg.workers,
+            executor=resolve_executor(cfg.executor, self.graph.num_nodes),
+            num_workers=cfg.workers,
             top_k=top_k, kernel=cfg.kernel, dtype=cfg.dtype)
         rows: Dict[int, sp.csr_matrix] = {}
         for result in results:

@@ -11,20 +11,21 @@ Three computations are provided:
   point that LocalPush approximates and the operator SIGMA aggregates with.
 * :func:`localpush_simrank` — Algorithm 1 (LocalPush) of the paper: a
   residual-push approximation with max-norm guarantee ``ε`` and
-  ``O(d²/ε)``-style cost, returning a sparse matrix.
+  ``O(d²/ε)``-style cost, returning a sparse matrix.  It runs on the one
+  unified core, :func:`repro.simrank.engine.localpush_engine`;
+  :func:`repro.simrank.localpush.localpush_reference` is the per-pair
+  dict transcription of Algorithm 1 that the tests and the LocalPush
+  micro-benchmark use as the oracle (no configuration reaches it).
 
 :func:`simrank_operator` combines approximation and top-k pruning into the
-sparse aggregation operator used by the SIGMA model.  Its supported
-calling convention is a single typed config object::
+sparse aggregation operator used by the SIGMA model.  It takes a single
+typed config object::
 
     from repro.config import SimRankConfig
     operator = simrank_operator(graph, SimRankConfig(
         method="localpush", epsilon=0.1, top_k=32,
         executor="process", workers=8,
         cache_dir="~/.cache/simrank"))
-
-(the pre-config keyword arguments remain accepted as deprecated shims —
-one ``DeprecationWarning`` each, identical operator and cache key).
 
 Configuration: SimRankConfig
 ----------------------------
@@ -33,40 +34,30 @@ Configuration: SimRankConfig
 * the **mathematical contract** — ``method`` (``"exact"``, ``"series"``,
   ``"localpush"`` or ``"auto"``, which picks exactness up to
   ``exact_size_limit`` nodes and LocalPush above), ``decay``,
-  ``epsilon``, ``top_k`` and ``row_normalize``; these determine the
-  operator entries and therefore enter the cache key;
-* the **execution plan** — ``backend``, ``executor``, ``workers``,
-  ``kernel`` and ``dtype``, resolved to a concrete LocalPush plan by
-  ``resolve_execution``:
-
-  =========== ==================== ========================================
-  backend      plan                 auto-selected for
-  =========== ==================== ========================================
-  dict         (dict, —)            < 256 nodes — per-pair reference loop
-  vectorized   (core, serial)       256 – 4095 nodes — frontier-batched
-                                    sparse rounds, shards pushed in-thread
-  sharded      (core, thread)       ≥ 4096 nodes — shards pushed by a
-                                    thread pool, merged in shard order
-  (explicit)   (core, process)      ``executor="process"`` — shards pushed
-                                    by a process pool over shared-memory
-                                    walk matrices (multi-core past the GIL)
-  =========== ==================== ========================================
-
-  Orthogonally to the executor axis, ``kernel`` picks the push-round
-  *arithmetic* inside the core plans (see
-  :mod:`repro.simrank.kernels`):
+  ``epsilon``, ``top_k``, ``row_normalize`` and ``dtype``; these
+  determine the operator entries and therefore enter the cache key;
+* the **execution plan** — ``executor``, ``workers`` and ``kernel``.
+  ``executor`` decides where the per-round shard pushes run;
+  left unset (``None`` or ``"auto"``) it follows a node-count ladder
+  (:func:`repro.simrank.localpush.resolve_executor`):
 
   =========== ============================================================
-  kernel       push-round implementation
+  executor     used for
   =========== ============================================================
-  auto         the default — resolves to ``fused``
-  scipy        reference: sparse-matrix ops with per-round allocations
-  fused        raw-CSR kernel with round-reused workspaces, zero-copy
-               shard slices and a one-pass partial merge — bit-identical
-               to ``scipy``, measurably faster on multi-round runs
-  numba        ``fused`` plus a JIT-compiled frontier-extraction loop;
-               silently degrades to ``fused`` when numba is missing
+  serial       < 4096 nodes by default — shards pushed in the calling
+               thread
+  thread       ≥ 4096 nodes by default — shards pushed by a thread pool,
+               merged in shard order
+  process      only when named — shards pushed by a process pool over
+               shared-memory walk matrices (multi-core past the GIL)
   =========== ============================================================
+
+  Orthogonally to the executor, ``kernel`` picks the push-round
+  *arithmetic* (see :mod:`repro.simrank.kernels`): ``scipy`` (the
+  reference, sparse-matrix ops with per-round allocations), ``fused``
+  (raw-CSR kernel with round-reused workspaces, zero-copy shard slices
+  and a one-pass partial merge — bit-identical to ``scipy``, faster on
+  multi-round runs) or ``auto`` (the default, ``fused``).
 
 * the **cache location** — ``cache_dir`` and ``cache_max_bytes``.
 
@@ -74,22 +65,18 @@ The shard partition is a function of the frontier alone and partial
 updates merge in shard order, so **every executor, worker count and
 kernel returns a bit-identical matrix** — pinned by
 ``tests/test_simrank_engine.py`` and ``tests/test_simrank_kernels.py``.
-Accordingly only the resolved backend *label* enters the operator-cache
-key (``kernel`` is exempt); the key fields are derived in exactly one
-place, :meth:`repro.config.SimRankConfig.cache_key_fields`.  The auto
-thresholds live in
-:data:`repro.simrank.localpush.AUTO_BACKEND_MIN_NODES` and
-:data:`repro.simrank.localpush.AUTO_SHARDED_MIN_NODES`; unit tests pin
-them.  All plans satisfy the same ``‖Ŝ − S‖_max < ε`` guarantee
-(Lemma III.5) — in float64.  The opt-in ``dtype="float32"`` mode
+Accordingly no part of the execution plan enters the operator-cache key;
+the key fields are derived in exactly one place,
+:meth:`repro.config.SimRankConfig.cache_key_fields`.  The executor
+threshold is :data:`repro.simrank.localpush.AUTO_SHARDED_MIN_NODES`;
+unit tests pin it.  All plans satisfy the same ``‖Ŝ − S‖_max < ε``
+guarantee (Lemma III.5) — in float64.  The opt-in ``dtype="float32"`` mode
 trades that guarantee for half the memory: accumulated rounding can
 exceed ε itself, so the bound loosens to
 :func:`repro.simrank.kernels.float32_error_bound`, which adds a
 per-round rounding term ``O(u·rounds/(1−c))`` (``u = 2⁻²⁴``); because
 the entries differ from float64's, ``dtype`` *does* enter the cache
-key.  ``localpush_simrank_vectorized`` /
-``localpush_simrank_sharded`` are deprecated shims over the core
-(bit-identical, with a ``DeprecationWarning``).
+key.
 
 Streaming top-k error-bound argument
 ------------------------------------
@@ -112,9 +99,10 @@ Operator cache: layout, eviction, reuse
 directory as ``simrank-<key>.npz`` files (CSR arrays plus a JSON metadata
 record) with a sidecar index for LRU accounting.  ``<key>`` hashes
 ``(format version, graph fingerprint, method, c, ε, k, row_normalize,
-resolved backend)``; the executor and worker count are excluded because
-core results are bit-identical across both.  Stale format versions,
-metadata mismatches and corrupted files are evicted and recomputed.  Two
+dtype)``; the executor, worker count and kernel are excluded because
+core results are bit-identical across all of them.  Stale format
+versions, metadata mismatches and corrupted files are evicted and
+recomputed.  Two
 policies sit on top:
 
 * **LRU eviction** — give the cache a byte cap
@@ -157,15 +145,12 @@ from repro.simrank.cache import (
 from repro.simrank.engine import EXECUTORS, localpush_engine
 from repro.simrank.exact import exact_simrank, linearized_simrank
 from repro.simrank.localpush import (
-    AUTO_BACKEND_MIN_NODES,
     AUTO_SHARDED_MIN_NODES,
     LocalPushResult,
+    localpush_reference,
     localpush_simrank,
-    resolve_backend,
-    resolve_execution,
+    resolve_executor,
 )
-from repro.simrank.localpush_vec import localpush_simrank_vectorized
-from repro.simrank.sharded import localpush_simrank_sharded
 from repro.simrank.topk import (
     shared_simrank_operator,
     simrank_operator,
@@ -183,13 +168,10 @@ __all__ = [
     "linearized_simrank",
     "localpush_simrank",
     "localpush_engine",
-    "localpush_simrank_vectorized",
-    "localpush_simrank_sharded",
+    "localpush_reference",
     "LocalPushResult",
-    "resolve_backend",
-    "resolve_execution",
+    "resolve_executor",
     "EXECUTORS",
-    "AUTO_BACKEND_MIN_NODES",
     "AUTO_SHARDED_MIN_NODES",
     "topk_simrank",
     "simrank_operator",

@@ -2,7 +2,7 @@
 
 LocalPush precompute dominates end-to-end cost of the scalability
 experiments (Fig. 5, Table III), yet the operator is a pure function of
-``(graph, method, c, ε, k, backend, row_normalize)``.  This module stores
+``(graph, method, c, ε, k, row_normalize, dtype)``.  This module stores
 each computed :class:`repro.simrank.topk.SimRankOperator` on disk under a
 content-addressed key so repeated experiment runs skip precompute
 entirely.
@@ -25,12 +25,10 @@ SHA-256 over the adjacency CSR arrays — content-addressed, so renames and
 re-generations of the same graph hit) and the resolved operator
 parameters.  The parameter fields are derived in exactly one place —
 :meth:`repro.config.SimRankConfig.cache_key_fields` — and hashed here by
-:meth:`OperatorCache.key_for_fields`; both the config path and the
-deprecated-kwarg shims flow through that derivation, so they produce
-identical keys.  The worker count **and the unified-core executor** are
-deliberately excluded from the key: the engine core is bit-deterministic
-across executors and pool sizes, so operators computed with any of them
-are interchangeable.
+:meth:`OperatorCache.key_for_fields`.  The whole execution plan
+(executor, worker count, kernel) is deliberately excluded from the key:
+the engine core is bit-deterministic across all of them, so operators
+computed with any plan are interchangeable.
 
 Eviction policy (LRU under a byte cap)
 --------------------------------------
@@ -109,7 +107,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: on-disk layout or the operator semantics change).  Version 2: metadata
 #: gained the graph fingerprint (needed by the reuse index) and the
 #: unified engine core fixed the shard partition across all executors.
-CACHE_FORMAT_VERSION = 2
+#: Version 3: the engine-family ``backend`` label left the key and the
+#: metadata (every LocalPush operator comes from the one core), and
+#: float64's ``dtype: None`` is hashed like every other key field.
+CACHE_FORMAT_VERSION = 3
 
 _FILE_PREFIX = "simrank-"
 _INDEX_NAME = "simrank-cache-index.json"
@@ -234,29 +235,19 @@ class OperatorCache:
             raise ValueError(
                 f"cache key fields must be exactly {sorted(CACHE_KEY_FIELDS)}, "
                 f"got {sorted(fields)}")
-        hashed = dict(fields)
-        if hashed.get("dtype") is None:
-            # float64 is encoded as ``dtype: None`` by
-            # ``cache_key_fields`` and *omitted* from the hashed payload,
-            # so float64 keys are byte-identical to the pre-dtype key
-            # format: every operator cached before the dtype field
-            # existed stays warm.
-            del hashed["dtype"]
         return payload_digest({
             "version": CACHE_FORMAT_VERSION,
             "graph": graph_fingerprint(graph),
-            **hashed,
+            **fields,
         })
 
     def key_for(self, graph: Graph, *, method: str, decay: float,
                 epsilon: Optional[float], top_k: Optional[int],
-                row_normalize: bool, backend: Optional[str],
-                dtype: Optional[str] = None) -> str:
+                row_normalize: bool, dtype: Optional[str] = None) -> str:
         """Keyword-argument form of :meth:`key_for_fields` (same key).
 
         ``dtype`` uses the key-field encoding: ``None`` for float64 (the
-        reference precision, omitted from the hash), the dtype name
-        otherwise.
+        reference precision), the dtype name otherwise.
         """
         return self.key_for_fields(graph, {
             "method": method,
@@ -264,7 +255,6 @@ class OperatorCache:
             "epsilon": epsilon,
             "top_k": top_k,
             "row_normalize": row_normalize,
-            "backend": backend,
             "dtype": dtype,
         })
 
@@ -287,14 +277,11 @@ class OperatorCache:
             raise ValueError(
                 f"cache key fields must be exactly {sorted(CACHE_KEY_FIELDS)}, "
                 f"got {sorted(fields)}")
-        hashed = dict(fields)
-        if hashed.get("dtype") is None:
-            del hashed["dtype"]
         return payload_digest({
             "version": CACHE_FORMAT_VERSION,
             "base": base_fingerprint,
             "delta": delta_hash,
-            **hashed,
+            **fields,
         })
 
     def lookup_delta(self, base_fingerprint: str, delta_hash: str,
@@ -308,9 +295,7 @@ class OperatorCache:
         miss.
         """
         key = self.delta_key_for(base_fingerprint, delta_hash, fields)
-        expect = {name: value for name, value in fields.items()
-                  if name != "dtype" or value is not None}
-        return self.load(key, expect=expect)
+        return self.load(key, expect=dict(fields))
 
     def store_delta(self, base_fingerprint: str, delta_hash: str,
                     fields: Dict[str, object],
@@ -399,7 +384,6 @@ class OperatorCache:
                 "epsilon": meta.get("epsilon"),
                 "top_k": meta.get("top_k"),
                 "row_normalize": bool(meta.get("row_normalize", False)),
-                "backend": meta.get("backend"),
                 "dtype": meta.get("dtype"),
                 "bytes": path.stat().st_size,
                 "last_used": 0,
@@ -482,7 +466,6 @@ class OperatorCache:
             epsilon=None if meta["epsilon"] is None else float(meta["epsilon"]),
             top_k=None if meta["top_k"] is None else int(meta["top_k"]),
             precompute_seconds=0.0,
-            backend=meta.get("backend"),
             cache_hit=True,
             row_normalize=bool(meta.get("row_normalize", False)),
         )
@@ -537,9 +520,8 @@ class OperatorCache:
         if bool(entry.get("row_normalize", False)) != row_normalize:
             return False
         # Precision is part of the contract: a float32 entry never
-        # serves a float64 request or vice versa.  Entries written
-        # before the dtype field existed carry no marker and are float64
-        # by construction (``entry.get`` → ``None`` ≡ float64).
+        # serves a float64 request or vice versa.  float64 entries
+        # carry no marker (``entry.get`` → ``None`` ≡ float64).
         if entry.get("dtype") != dtype:
             return False
         candidate_epsilon = entry.get("epsilon")
@@ -574,8 +556,7 @@ class OperatorCache:
 
     def lookup(self, graph: Graph, *, method: str, decay: float,
                epsilon: Optional[float], top_k: Optional[int],
-               row_normalize: bool, backend: Optional[str],
-               dtype: Optional[str] = None,
+               row_normalize: bool, dtype: Optional[str] = None,
                fingerprint: Optional[str] = None
                ) -> Optional["SimRankOperator"]:
         """Serve a request from the cache, by exact key or by reuse.
@@ -589,15 +570,10 @@ class OperatorCache:
         """
         key = self.key_for(graph, method=method, decay=decay, epsilon=epsilon,
                            top_k=top_k, row_normalize=row_normalize,
-                           backend=backend, dtype=dtype)
+                           dtype=dtype)
         expect: Dict[str, object] = {
             "method": method, "decay": decay, "epsilon": epsilon,
-            "top_k": top_k, "backend": backend,
-            "row_normalize": row_normalize}
-        if dtype is not None:
-            # float64 requests skip the check so pre-dtype entries (no
-            # marker in their metadata) keep serving them.
-            expect["dtype"] = dtype
+            "top_k": top_k, "row_normalize": row_normalize, "dtype": dtype}
         exact = self._load(key, expect=expect)
         if exact is not None:
             self.hits += 1
@@ -648,7 +624,6 @@ class OperatorCache:
                     epsilon=epsilon,
                     top_k=top_k,
                     precompute_seconds=0.0,
-                    backend=candidate.backend,
                     cache_hit=True,
                     row_normalize=row_normalize,
                     reuse_source_epsilon=candidate.epsilon,
@@ -739,8 +714,7 @@ class OperatorCache:
         """
         matrix = sp.csr_matrix(operator.matrix)
         # Key-field encoding: float64 (the reference precision) is
-        # recorded as None, so pre-dtype entries and float64 entries are
-        # indistinguishable — which is correct, they are the same thing.
+        # recorded as None.
         dtype = "float32" if matrix.dtype == np.float32 else None
         meta = json.dumps({
             "version": CACHE_FORMAT_VERSION,
@@ -749,7 +723,6 @@ class OperatorCache:
             "decay": operator.decay,
             "epsilon": operator.epsilon,
             "top_k": operator.top_k,
-            "backend": operator.backend,
             "row_normalize": operator.row_normalize,
             "dtype": dtype,
             "precompute_seconds": operator.precompute_seconds,
@@ -780,7 +753,6 @@ class OperatorCache:
             "epsilon": operator.epsilon,
             "top_k": operator.top_k,
             "row_normalize": operator.row_normalize,
-            "backend": operator.backend,
             "dtype": dtype,
             "bytes": path.stat().st_size,
             "last_used": 0,

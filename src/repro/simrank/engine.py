@@ -1,22 +1,18 @@
 """Unified LocalPush engine core with pluggable shard executors.
 
 This module owns the *single* implementation of the batched LocalPush
-loop (Algorithm 1 of the paper, frontier-batched form).  The three
-engines that previous revisions kept side by side — the vectorized
-frontier engine, the thread-sharded engine and its streaming top-k
-variant — were the same round loop differing only in **how the per-round
-shard pushes are executed**.  That difference is now a pluggable
+loop (Algorithm 1 of the paper, frontier-batched form).  Runs differ
+only in **how the per-round shard pushes are executed**, a pluggable
 *executor* strategy:
 
 ``executor="serial"``
-    Shards are pushed one after another in the calling thread.  This
-    absorbs the old vectorized engine (``backend="vectorized"``): a
+    Shards are pushed one after another in the calling thread; a
     frontier small enough for one shard is pushed with a single sparse
-    matmul, exactly as before.
+    matmul.
 ``executor="thread"``
-    Shards are pushed by a :class:`concurrent.futures.ThreadPoolExecutor`
-    (the old ``backend="sharded"`` pool).  scipy's sparse matmul holds
-    the GIL, so this mainly overlaps allocation and bookkeeping.
+    Shards are pushed by a :class:`concurrent.futures.ThreadPoolExecutor`.
+    scipy's sparse matmul holds the GIL, so this mainly overlaps
+    allocation and bookkeeping.
 ``executor="process"``
     Shards are pushed by a process pool.  The CSR arrays of the walk
     matrix ``W`` (and ``Wᵀ``) are placed in
@@ -41,11 +37,11 @@ Because the push operator is linear in ``F`` and the shard partition and
 merge order are executor-independent, the returned matrix is
 **bit-identical for every executor and every worker count** — the
 property the operator cache relies on (its key excludes both knobs) and
-the equivalence suite pins.  The residual invariant, the streaming
-top-k prune with its ``‖R‖_max/(1−c)`` correction bound, and the shared
-:func:`repro.simrank.localpush.finalize_estimate` semantics are all
-unchanged from the engines this core replaces; see the module docstring
-of :mod:`repro.simrank` for the error-bound arguments.
+the equivalence suite pins.  The error-bound arguments (the residual
+invariant and the streaming top-k prune's ``‖R‖_max/(1−c)`` correction
+bound) are in the module docstring of :mod:`repro.simrank`; the
+post-loop diagonal restore and ``ε/10`` floor are
+:func:`repro.simrank.localpush.finalize_estimate`.
 """
 
 from __future__ import annotations
@@ -67,8 +63,7 @@ from repro.graphs.sparse import top_k_per_row
 from repro.simrank.exact import DEFAULT_DECAY
 from repro.simrank.kernels import (DTYPES, KERNELS, PhaseProfile, Shard,
                                    make_round_state, resolve_kernel,
-                                   shard_bounds, streaming_prune,
-                                   working_dtype)
+                                   shard_bounds, working_dtype)
 from repro.utils.timer import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -317,11 +312,6 @@ def _make_executor(name: str, walk: sp.csr_matrix, walk_t: sp.csr_matrix,
         return _ProcessExecutor(walk, walk_t, n, decay, workers)
     raise SimRankError(f"unknown LocalPush executor {name!r}; "
                        f"expected one of {EXECUTORS}")
-
-
-# The streaming top-k prune now lives in repro.simrank.kernels (shared
-# by every kernel); re-exported here under its historical private name.
-_streaming_prune = streaming_prune
 
 
 # --------------------------------------------------------------------- #
@@ -615,14 +605,13 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
                      num_shards: Optional[int] = None,
                      stream_top_k: Optional[int] = None,
                      coalesce_every: int = 4,
-                     backend_label: Optional[str] = None,
                      kernel: str = "auto", dtype: str = "float64",
                      profile: Optional[PhaseProfile] = None
                      ) -> "LocalPushResult":
     """Run the batched LocalPush round loop with a pluggable executor.
 
     Parameters mirror :func:`repro.simrank.localpush.localpush_simrank`
-    (which dispatches here for every non-dict plan), plus:
+    (which resolves the executor and dispatches here), plus:
 
     executor:
         ``"serial"``, ``"thread"`` or ``"process"`` — how the per-round
@@ -630,7 +619,7 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         every executor and worker count (see the module docstring), so
         this is purely a throughput knob.
     kernel:
-        ``"auto"``, ``"scipy"``, ``"fused"`` or ``"numba"`` — how the
+        ``"auto"``, ``"scipy"`` or ``"fused"`` — how the
         per-round CSR arithmetic is carried out (see
         :mod:`repro.simrank.kernels`).  Bit-identical per ``dtype`` for
         every kernel, so — like ``executor`` — purely a throughput knob.
@@ -657,10 +646,6 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         :func:`repro.graphs.sparse.top_k_per_row` semantics
         (``keep_diagonal=True``); matches pruning the fully materialised
         estimate exactly.
-    backend_label:
-        Legacy backend name recorded on the result for callers that
-        still reason in ``backend=`` terms (``"vectorized"`` ≡
-        ``(core, serial)``, ``"sharded"`` ≡ ``(core, thread|process)``).
     """
     from repro.simrank.localpush import LocalPushResult
 
@@ -679,8 +664,6 @@ def localpush_engine(graph: Graph, *, decay: float = DEFAULT_DECAY,
         elapsed_seconds=run.elapsed_seconds,
         epsilon=epsilon,
         decay=decay,
-        backend=backend_label or
-        ("vectorized" if executor == "serial" else "sharded"),
         executor=executor,
         num_rounds=run.num_rounds,
         num_workers=run.workers_used,

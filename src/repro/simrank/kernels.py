@@ -22,11 +22,6 @@ kernel ladder:
     product — see below) instead of the chained additions; the
     streaming-estimate absorb is batched and pruned at the
     ``coalesce_every`` cadence instead of every round.
-``kernel="numba"``
-    The fused kernel with the frontier extraction loop JIT-compiled
-    (mask, compress and residual clearing fused into one pass over the
-    stored entries), when :mod:`numba` is importable; resolves to
-    ``"fused"`` otherwise (the dependency is optional, never required).
 ``kernel="auto"``
     Resolves to ``"fused"``.
 
@@ -114,8 +109,7 @@ in the operator cache (see ``SimRankConfig.cache_key_fields``).
 from __future__ import annotations
 
 import math
-from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
-                    Tuple, Union)
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,10 +118,9 @@ from repro.errors import SimRankError
 from repro.graphs.sparse import csr_row_indices
 from repro.utils.timer import Timer
 
-#: Kernel names accepted by the engine (``"auto"`` resolves to the best
-#: available implementation; ``"numba"`` falls back to ``"fused"`` when
-#: numba is not importable).
-KERNELS = ("auto", "scipy", "fused", "numba")
+#: Kernel names accepted by the engine (``"auto"`` resolves to
+#: ``"fused"``).
+KERNELS = ("auto", "scipy", "fused")
 
 #: dtype names accepted by the engine.
 DTYPES = ("float64", "float32")
@@ -164,28 +157,16 @@ class RoundRunner(Protocol):
         ...
 
 
-def numba_available() -> bool:
-    """Whether the optional numba dependency is importable."""
-    try:
-        import numba  # noqa: F401  (probe only)
-    except Exception:  # pragma: no cover - depends on environment
-        return False
-    return True
-
-
 def resolve_kernel(kernel: str) -> str:
     """Resolve a kernel request to a concrete implementation name.
 
     ``"auto"`` picks ``"fused"`` (bit-identical to ``"scipy"`` and
-    faster); ``"numba"`` degrades gracefully to ``"fused"`` when numba
-    is not importable.  Unknown names raise :class:`SimRankError`.
+    faster).  Unknown names raise :class:`SimRankError`.
     """
     if kernel not in KERNELS:
         raise SimRankError(f"unknown LocalPush kernel {kernel!r}; "
                            f"expected one of {KERNELS}")
     if kernel == "auto":
-        return "fused"
-    if kernel == "numba" and not numba_available():
         return "fused"
     return kernel
 
@@ -704,93 +685,11 @@ class FusedRoundState(ScipyRoundState):
         return self._residual, estimate
 
 
-class NumbaRoundState(FusedRoundState):
-    """The fused kernel with a JIT-compiled frontier extraction loop.
-
-    Only constructed when :func:`numba_available` is true (the resolver
-    falls back to ``"fused"`` otherwise).  The jitted loop fuses the
-    threshold mask, the entry compression and the residual clearing into
-    one pass over the stored entries, visiting them in the identical
-    canonical order — so the produced arrays, and with them the whole
-    run, are bitwise those of the fused kernel by construction.
-    """
-
-    kernel = "numba"
-
-    def __init__(self, residual: sp.csr_matrix, *, n: int, dtype: np.dtype,
-                 index_dtype: np.dtype,
-                 profile: Optional[PhaseProfile] = None,
-                 signed: bool = False) -> None:
-        super().__init__(residual, n=n, dtype=dtype,
-                         index_dtype=index_dtype, profile=profile,
-                         signed=signed)
-        self._numba_extract = _load_numba_extract()
-
-    def extract_frontier(self, threshold: float) -> Optional[Frontier]:
-        if self._signed:
-            # The jitted loop compiles the positive-only compare; signed
-            # runs take the fused numpy extraction, which produces the
-            # identical arrays (same canonical entry order).
-            return FusedRoundState.extract_frontier(self, threshold)
-        with self._measure("frontier"):
-            residual = self._residual
-            workspace = self._workspace
-            size = residual.data.size
-            out_cols = workspace.scratch("extract_cols", size,
-                                         residual.indices.dtype)
-            out_data = workspace.scratch("extract_data", size, self._dtype)
-            indptr = np.empty(self._n + 1, dtype=np.int64)
-            count = self._numba_extract(residual.indptr, residual.indices,
-                                        residual.data, threshold,
-                                        indptr, out_cols, out_data)
-            if count == 0:
-                return None
-            cols = out_cols[:count].copy()
-            data = out_data[:count].copy()
-            matrix = sp.csr_matrix(
-                (data, cols, indptr.astype(self._index_dtype, copy=False)),
-                shape=(self._n, self._n), copy=False)
-        return Frontier(cols, data, indptr=indptr, matrix=matrix)
-
-
-_NUMBA_EXTRACT: Optional[Callable[..., int]] = None
-
-
-def _load_numba_extract() -> Callable[..., int]:
-    """Compile (once) the fused extraction loop used by ``"numba"``."""
-    global _NUMBA_EXTRACT
-    if _NUMBA_EXTRACT is not None:
-        return _NUMBA_EXTRACT
-    import numba  # gated by numba_available() at resolution time
-
-    @numba.njit(cache=False)  # type: ignore[misc]
-    def extract(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                threshold: float, out_indptr: np.ndarray,
-                out_cols: np.ndarray,
-                out_data: np.ndarray) -> int:  # pragma: no cover - needs numba
-        count = 0
-        for row in range(out_indptr.size - 1):
-            out_indptr[row] = count
-            for position in range(indptr[row], indptr[row + 1]):
-                value = data[position]
-                if value > threshold:
-                    out_cols[count] = indices[position]
-                    out_data[count] = value
-                    data[position] = 0.0
-                    count += 1
-        out_indptr[out_indptr.size - 1] = count
-        return count
-
-    _NUMBA_EXTRACT = extract
-    return extract
-
-
 RoundState = Union[ScipyRoundState, FusedRoundState]
 
 _ROUND_STATES: Dict[str, type] = {
     "scipy": ScipyRoundState,
     "fused": FusedRoundState,
-    "numba": NumbaRoundState,
 }
 
 
@@ -818,9 +717,9 @@ def make_round_state(kernel: str, residual: sp.csr_matrix, *, n: int,
 
 
 __all__ = ["KERNELS", "DTYPES", "PHASES", "F32_UNIT_ROUNDOFF",
-           "F32_BOUND_SAFETY", "Shard", "RoundRunner", "numba_available",
+           "F32_BOUND_SAFETY", "Shard", "RoundRunner",
            "resolve_kernel", "working_dtype", "localpush_max_rounds",
            "float32_error_bound", "PhaseProfile", "Frontier",
            "shard_bounds", "streaming_prune", "ScipyRoundState",
-           "FusedRoundState", "NumbaRoundState", "RoundState",
+           "FusedRoundState", "RoundState",
            "make_round_state"]

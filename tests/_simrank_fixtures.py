@@ -1,7 +1,8 @@
-"""Shared graph builders for the LocalPush backend equivalence suites.
+"""Shared graph builders for the LocalPush equivalence suites.
 
-Used by ``test_simrank_localpush_vec.py`` and ``test_simrank_sharded.py``
-so the oracle-equivalence fixtures cannot drift apart between suites.
+Used by ``test_simrank_core_equivalence.py`` and
+``test_simrank_engine.py`` so the oracle-equivalence fixtures cannot
+drift apart between suites.
 Kept out of ``conftest.py`` because these are plain builders parameterised
 at the call site, not pytest fixtures.
 """

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, build_runspec, main
+from repro.cli import _unsupported_flags, build_parser, build_runspec, main
 from repro.config import RunSpec, SimRankConfig
 from repro.training.config import TrainConfig
 
@@ -112,3 +112,41 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert payload["model"] == "sigma"
         assert 0.0 <= payload["accuracy_mean"] <= 100.0
+
+
+class TestUnsupportedFlags:
+    """A flag the chosen model cannot take is a usage error, not a
+    ``TypeError`` traceback from the model constructor."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--model", "gcn", "--delta", "0.3", "--dataset", "texas"], "--delta"),
+        (["--model", "mlp", "--top-k", "4"], "--top-k"),
+        (["--model", "pprgo", "--epsilon", "0.1"], "--epsilon"),
+    ])
+    def test_override_the_model_does_not_take(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: not a hyper-parameter of model" in err
+        assert "Traceback" not in err
+
+    def test_overrides_the_model_takes_pass(self):
+        for argv in (["--model", "pprgo", "--top-k", "16", "--hidden", "32"],
+                     ["--model", "glognn", "--delta", "0.3"],
+                     ["--model", "sigma", "--delta", "0.3", "--top-k", "8"],
+                     # SIGMA models fold --top-k/--epsilon into their
+                     # SimRankConfig instead of passing them as overrides.
+                     ["--model", "sigma_iterative", "--epsilon", "0.2"]):
+            assert _unsupported_flags(build_parser().parse_args(argv)) is None
+
+    def test_simrank_flags_still_name_the_sigma_models(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--model", "gcn", "--simrank-kernel", "scipy"])
+        assert "only supported by SIGMA models" in capsys.readouterr().err
+
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--simrank-backend", "sharded"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()

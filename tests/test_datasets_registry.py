@@ -1,7 +1,12 @@
 """Tests for the dataset registry and loader."""
 
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.datasets import registry
 from repro.datasets.registry import (
     DATASET_SPECS,
     LARGE_DATASETS,
@@ -91,3 +96,78 @@ class TestLoadDataset:
         assert dataset.metadata["paper_nodes"] == 1632803
         assert dataset.metadata["scale"] == "large"
         assert "measured_homophily" in dataset.metadata
+
+
+class TestConcurrentLoad:
+    """Threads racing on one ``load_dataset`` key generate it once."""
+
+    NUM_THREADS = 8
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Count ``generate_synthetic_graph`` calls, with a slow body that
+        keeps every racing thread inside the memo lookup at once."""
+        recorded = []
+        generate = registry.generate_synthetic_graph
+
+        def counting(config, seed=None):
+            recorded.append((config.name, seed))
+            time.sleep(0.05)
+            return generate(config, seed=seed)
+
+        clear_dataset_cache()
+        monkeypatch.setattr(registry, "generate_synthetic_graph", counting)
+        yield recorded
+        clear_dataset_cache()
+
+    def _race(self, keys):
+        barrier = threading.Barrier(len(keys))
+        results = [None] * len(keys)
+
+        def load(index, name):
+            barrier.wait()
+            try:
+                results[index] = load_dataset(name, seed=123)
+            except Exception as error:  # surfaced by the assertion below
+                results[index] = error
+
+        threads = [threading.Thread(target=load, args=(index, name))
+                   for index, name in enumerate(keys)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not [r for r in results if isinstance(r, Exception)]
+        return results
+
+    def test_one_generation_per_key(self, calls):
+        results = self._race(["texas"] * self.NUM_THREADS)
+        assert len(calls) == 1
+        assert all(result is results[0] for result in results)
+
+    def test_distinct_keys_generate_independently(self, calls):
+        keys = ["texas", "cora"] * (self.NUM_THREADS // 2)
+        results = self._race(keys)
+        assert len(calls) == 2
+        for name, result in zip(keys, results):
+            assert result is load_dataset(name, seed=123)
+            assert result.name == name
+        assert len(calls) == 2
+
+    def test_failed_generation_is_retried(self, calls, monkeypatch):
+        def failing(config, seed=None):
+            raise RuntimeError("generator died")
+
+        counting = registry.generate_synthetic_graph
+        monkeypatch.setattr(registry, "generate_synthetic_graph", failing)
+        with pytest.raises(RuntimeError, match="died"):
+            load_dataset("texas", seed=123)
+        monkeypatch.setattr(registry, "generate_synthetic_graph", counting)
+        assert load_dataset("texas", seed=123).name == "texas"
+        assert len(calls) == 1

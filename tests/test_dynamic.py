@@ -269,12 +269,10 @@ class TestExecutorEquivalence:
         graph = erdos_renyi(60, 0.08, seed=9)
         batch = UpdateBatch((GraphDelta("insert", *absent_pairs(graph)[2]),
                              GraphDelta("delete", *present_pairs(graph)[1])))
-        serial_config = CONFIG.with_overrides(backend="vectorized",
-                                              executor="serial")
+        serial_config = CONFIG.with_overrides(executor="serial")
         reference = DynamicOperator(graph, simrank=serial_config)
         reference.apply(batch)
-        config = CONFIG.with_overrides(backend="vectorized",
-                                       executor=executor, workers=2)
+        config = CONFIG.with_overrides(executor=executor, workers=2)
         operator = DynamicOperator(graph, simrank=config)
         operator.apply(batch)
         expected = reference.operator().matrix

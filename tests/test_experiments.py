@@ -1,13 +1,13 @@
 """Tests for the declarative experiment harness.
 
 Covers the registry + sweep engine end to end at reduced scale, the
-legacy ``module.run()`` deprecation shims (row-identical results, one
-warning per call), the resumable store wiring, the runner CLI, and the
-``common.py`` training-config derivation.
+equivalence of the builder-keyword and pre-built-spec entry forms, the
+resumable store wiring, the runner CLI, and the ``common.py``
+training-config derivation.
 """
 
+import importlib
 import json
-import warnings
 
 import pytest
 
@@ -21,23 +21,7 @@ from repro.experiments import (
     get_experiment,
     list_experiments,
     run_experiment,
-)
-from repro.experiments import (
-    fig1_aggregation_maps,
-    fig2_score_densities,
-    fig4_convergence,
-    fig5_scalability,
-    fig6_epsilon_topk,
-    fig7_topk_tradeoff,
-    fig8_grouping,
     table2_simrank_stats,
-    table3_complexity,
-    table5_accuracy,
-    table7_learning_time,
-    table8_ablation,
-    table9_delta,
-    table10_alpha,
-    table11_iterative,
 )
 from repro.experiments.registry import EXPERIMENT_MODULES
 from repro.experiments.runner import EXPERIMENTS, main as runner_main
@@ -46,7 +30,7 @@ from repro.training.config import TrainConfig
 SMOKE_CONFIG = TrainConfig(max_epochs=15, patience=10, min_epochs=2,
                            track_test_history=False)
 
-#: Even smaller protocol for the 15-way legacy-equivalence sweep.
+#: Even smaller protocol for the 15-way entry-point equivalence sweep.
 TINY_CONFIG = TrainConfig(max_epochs=8, patience=5, min_epochs=2,
                           track_test_history=False)
 
@@ -54,24 +38,6 @@ TINY_CONFIG = TrainConfig(max_epochs=8, patience=5, min_epochs=2,
 #: for these.
 TIMING_KEYS = {"precompute", "learn", "runtime", "aggregation", "pre", "agg",
                "time_to_95pct", "total_time"}
-
-LEGACY_MODULES = {
-    "fig1": fig1_aggregation_maps,
-    "table2": table2_simrank_stats,
-    "fig2": fig2_score_densities,
-    "table3": table3_complexity,
-    "table5": table5_accuracy,
-    "table7": table7_learning_time,
-    "fig4": fig4_convergence,
-    "fig5": fig5_scalability,
-    "fig6": fig6_epsilon_topk,
-    "fig7": fig7_topk_tradeoff,
-    "table8": table8_ablation,
-    "table9": table9_delta,
-    "table10": table10_alpha,
-    "fig8": fig8_grouping,
-    "table11": table11_iterative,
-}
 
 #: Reduced-scale arguments used for the per-experiment equivalence pins.
 EQUIVALENCE_KWARGS = {
@@ -229,28 +195,31 @@ class TestTrainingExperiments:
         assert len(result.stats) == 1
 
 
-class TestLegacyShimEquivalence:
-    """Every experiment's ``run()`` shim: one warning, identical rows."""
+class TestSpecEntryEquivalence:
+    """Builder keywords and a pre-built spec are one entry point: for every
+    experiment, ``run_experiment(name, **builder_kwargs)`` and
+    ``run_experiment(name, spec=build_spec(name, **builder_kwargs))``
+    produce identical rows."""
 
-    @pytest.mark.parametrize("name", sorted(LEGACY_MODULES))
-    def test_shim_matches_registry(self, name):
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_KWARGS))
+    def test_builder_kwargs_match_prebuilt_spec(self, name):
         kwargs = EQUIVALENCE_KWARGS[name]
-        declarative = run_experiment(name, print_result=False, **kwargs)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = LEGACY_MODULES[name].run(**kwargs)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "deprecated" in str(deprecations[0].message)
-        assert deterministic_rows(legacy) == deterministic_rows(declarative)
+        via_kwargs = run_experiment(name, print_result=False, **kwargs)
+        via_spec = run_experiment(name, spec=build_spec(name, **kwargs),
+                                  print_result=False)
+        assert deterministic_rows(via_spec) == deterministic_rows(via_kwargs)
 
-    def test_fig6_shim_accepts_pre_config_keywords(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            result = fig6_epsilon_topk.run(
-                "texas", epsilons=(0.1,), top_ks=(8,), num_repeats=1,
-                config=TINY_CONFIG, simrank_backend="vectorized",
-                simrank_cache_dir=str(tmp_path))
+    def test_experiment_modules_expose_no_run_shim(self):
+        for name in EQUIVALENCE_KWARGS:
+            module = importlib.import_module(EXPERIMENT_MODULES[name])
+            assert not hasattr(module, "run"), name
+
+    def test_fig6_threads_the_simrank_config(self, tmp_path):
+        result = run_experiment(
+            "fig6", "texas", epsilons=(0.1,), top_ks=(8,), num_repeats=1,
+            config=TINY_CONFIG, print_result=False,
+            simrank=SimRankConfig(executor="serial",
+                                  cache_dir=str(tmp_path)))
         assert len(result.cells) == 1
         # The cache directory was threaded through to the operator cache.
         assert any(tmp_path.glob("simrank-*.npz"))

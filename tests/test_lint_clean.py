@@ -40,7 +40,7 @@ def test_tree_is_lint_clean():
 
 def test_all_rules_are_loaded():
     assert {rule.id for rule in all_rules()} == {
-        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"}
+        "R1", "R2", "R3", "R5", "R6", "R7", "R8"}
 
 
 def test_r1_fires_when_live_config_gains_unkeyed_field(tmp_path):

@@ -247,62 +247,6 @@ class TestR3Determinism:
 
 
 # --------------------------------------------------------------------- #
-# R4 — deprecation containment
-# --------------------------------------------------------------------- #
-class TestR4DeprecationContainment:
-    def test_shim_module_import_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {"repro/models/thing.py": '''
-            from repro.simrank.sharded import localpush_simrank_sharded
-            '''}, rules=["R4"])
-        assert rule_ids(findings) == ["R4"]
-
-    def test_shim_hosts_may_reference_themselves(self, tmp_path):
-        assert lint_tree(tmp_path, {"repro/simrank/__init__.py": '''
-            from repro.simrank.sharded import localpush_simrank_sharded
-            '''}, rules=["R4"]) == []
-
-    def test_deprecated_kwarg_at_call_site_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {"repro/bad.py": '''
-            def build(operator):
-                return operator(simrank_backend="sharded")
-            '''}, rules=["R4"])
-        assert rule_ids(findings) == ["R4"]
-
-    def test_forwarding_shim_allowed(self, tmp_path):
-        assert lint_tree(tmp_path, {"repro/shim.py": '''
-            def run(target, simrank_backend=None):
-                return target(simrank_backend=simrank_backend)
-            '''}, rules=["R4"]) == []
-
-    def test_experiment_run_without_warning_fires(self, tmp_path):
-        findings = lint_tree(tmp_path, {"repro/experiments/figx_mod.py": '''
-            def run():
-                return 1
-            '''}, rules=["R4"])
-        assert rule_ids(findings) == ["R4"]
-        assert "DeprecationWarning" in findings[0].message
-
-    def test_experiment_run_with_warning_allowed(self, tmp_path):
-        assert lint_tree(tmp_path, {"repro/experiments/figx_mod.py": '''
-            import warnings
-
-            def run():
-                warnings.warn("figx_mod.run() is deprecated",
-                              DeprecationWarning, stacklevel=2)
-                return 1
-            '''}, rules=["R4"]) == []
-
-    def test_experiment_run_via_merge_helper_allowed(self, tmp_path):
-        assert lint_tree(tmp_path, {"repro/experiments/figx_mod.py": '''
-            from repro.config import merge_experiment_simrank_kwargs
-
-            def run(simrank=None):
-                simrank = merge_experiment_simrank_kwargs(simrank)
-                return simrank
-            '''}, rules=["R4"]) == []
-
-
-# --------------------------------------------------------------------- #
 # R5 — registry consistency
 # --------------------------------------------------------------------- #
 EXPERIMENT_REGISTRY = '''
@@ -702,5 +646,6 @@ class TestFramework:
     def test_cli_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"):
+        for rule_id in ("R1", "R2", "R3", "R5", "R6", "R7", "R8"):
             assert rule_id in out
+        assert "R4" not in out  # retired; its number is not reused

@@ -80,10 +80,10 @@ class TestGraphFingerprint:
 class TestKeying:
     def test_key_varies_per_parameter(self, graph, cache):
         base = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=8,
-                    row_normalize=False, backend="sharded")
+                    row_normalize=False)
         reference = cache.key_for(graph, **base)
         for variation in (dict(epsilon=0.05), dict(decay=0.7), dict(top_k=16),
-                          dict(top_k=None), dict(backend="vectorized"),
+                          dict(top_k=None), dict(dtype="float32"),
                           dict(method="series"), dict(row_normalize=True)):
             assert cache.key_for(graph, **{**base, **variation}) != reference
 
@@ -92,7 +92,7 @@ class TestKeying:
             num_nodes=120, num_classes=3, num_features=4, average_degree=6.0,
             homophily=0.3, name="cache-sbm"), seed=1)
         params = dict(method="localpush", decay=0.6, epsilon=0.1, top_k=8,
-                      row_normalize=False, backend="sharded")
+                      row_normalize=False)
         assert cache.key_for(graph, **params) != cache.key_for(other, **params)
 
     def test_registry_shares_instances_and_counters(self, tmp_path):
@@ -104,7 +104,7 @@ class TestKeying:
 class TestRoundTrip:
     def test_miss_store_hit(self, graph, cache):
         kwargs = dict(method="localpush", epsilon=0.1, top_k=8,
-                      backend="sharded", cache=cache)
+                      executor="thread", cache=cache)
         cold = _operator(graph, **kwargs)
         assert not cold.cache_hit
         assert (cache.misses, cache.stores, cache.hits) == (1, 1, 0)
@@ -114,7 +114,6 @@ class TestRoundTrip:
         assert warm.cache_hit
         assert cache.hits == 1
         assert warm.method == cold.method == "localpush"
-        assert warm.backend == cold.backend == "sharded"
         assert warm.epsilon == cold.epsilon and warm.top_k == cold.top_k
         assert np.array_equal(warm.matrix.indptr, cold.matrix.indptr)
         assert np.array_equal(warm.matrix.indices, cold.matrix.indices)
@@ -130,12 +129,15 @@ class TestRoundTrip:
         assert get_operator_cache(directory).hits == 1
 
     def test_worker_count_shares_one_entry(self, graph, cache):
-        """num_workers is excluded from the key: sharded is deterministic."""
+        """The execution plan is excluded from the key: every executor and
+        worker count computes the same bits."""
         cold = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
-                                backend="sharded", num_workers=1, cache=cache)
+                         executor="thread", num_workers=1, cache=cache)
         warm = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
-                                backend="sharded", num_workers=4, cache=cache)
-        assert not cold.cache_hit and warm.cache_hit
+                         executor="thread", num_workers=4, cache=cache)
+        serial = _operator(graph, method="localpush", epsilon=0.1, top_k=8,
+                           executor="serial", cache=cache)
+        assert not cold.cache_hit and warm.cache_hit and serial.cache_hit
         assert len(cache) == 1
 
     def test_different_epsilon_is_a_miss(self, graph, cache):
@@ -163,7 +165,7 @@ class TestRoundTrip:
         cold = _operator(graph, method="series", epsilon=0.1, cache=cache)
         warm = _operator(graph, method="series", epsilon=0.1, cache=cache)
         assert warm.cache_hit
-        assert warm.method == "series" and warm.backend is None
+        assert warm.method == "series"
         np.testing.assert_allclose(warm.matrix.toarray(), cold.matrix.toarray())
 
     def test_clear_empties_the_directory(self, graph, cache):
@@ -229,8 +231,63 @@ class TestRowLookup:
                              top_k=4, row_normalize=False)
 
 
+class TestRowLookupFaults:
+    """A damaged entry met by ``lookup_row`` is evicted and counted, and
+    the query falls back to computing the row exactly as without a cache.
+
+    This is the state every cache directory is in after a
+    ``CACHE_FORMAT_VERSION`` bump: entries of the previous format sit in
+    the directory (and possibly in the sidecar index) until a lookup
+    evicts them.
+    """
+
+    SOURCE, K = 3, 5
+
+    @staticmethod
+    def _previous_format(path):
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        meta = json.loads(str(arrays["meta"]))
+        meta["version"] = CACHE_FORMAT_VERSION - 1
+        arrays["meta"] = np.asarray(json.dumps(meta))
+        np.savez_compressed(path, **arrays)
+
+    @pytest.mark.parametrize("damage", [
+        "previous-format", "previous-format-unindexed", "truncated"])
+    def test_damaged_entry_is_evicted_and_the_row_recomputed(
+            self, graph, tmp_path, damage):
+        from repro import api
+
+        directory = tmp_path / damage
+        cache = get_operator_cache(directory)
+        _operator(graph, method="localpush", epsilon=0.1, cache=cache)
+        (path,) = directory.glob("simrank-*.npz")
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:20])
+        else:
+            self._previous_format(path)
+            if damage == "previous-format-unindexed":
+                # Written by another revision: only the file's own
+                # metadata tells the reuse scan about it.
+                (directory / "simrank-cache-index.json").unlink()
+
+        cached = api.topk(graph, self.SOURCE, self.K,
+                          SimRankConfig(epsilon=0.1, cache_dir=str(directory)))
+        assert cached == api.topk(graph, self.SOURCE, self.K,
+                                  SimRankConfig(epsilon=0.1))
+        assert cache.evictions == 1
+        assert (cache.row_hits, cache.row_misses) == (0, 1)
+        assert not path.exists()
+
+        # Evicted for good: the next lookup is a plain miss.
+        assert cache.lookup_row(graph, self.SOURCE, decay=0.6, epsilon=0.1,
+                                top_k=self.K, row_normalize=False) is None
+        assert cache.evictions == 1
+        assert cache.row_misses == 2
+
+
 class TestInvalidationAndCorruption:
-    KWARGS = dict(method="localpush", epsilon=0.1, top_k=8, backend="sharded")
+    KWARGS = dict(method="localpush", epsilon=0.1, top_k=8, executor="thread")
 
     def _entry_path(self, cache):
         paths = list(cache.directory.glob("simrank-*.npz"))
@@ -344,11 +401,11 @@ class TestExperimentIntegration:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "--simrank-backend", "sharded",
+            "--simrank-executor", "thread",
             "--simrank-workers", "4",
             "--simrank-cache-dir", "/tmp/simrank-cache",
         ])
-        assert args.simrank_backend == "sharded"
+        assert args.simrank_executor == "thread"
         assert args.simrank_workers == 4
         assert args.simrank_cache_dir == "/tmp/simrank-cache"
 
@@ -369,7 +426,7 @@ class TestCacheStress:
             homophily=0.3, name="cache-large"), seed=3)
         cache = get_operator_cache(tmp_path / "large")
         kwargs = dict(method="localpush", epsilon=0.1, top_k=16,
-                      backend="sharded", cache=cache)
+                      executor="thread", cache=cache)
         cold = _operator(graph, **kwargs)
         warm = _operator(graph, **kwargs)
         assert warm.cache_hit

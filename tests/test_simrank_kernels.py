@@ -28,7 +28,6 @@ from repro.simrank.kernels import (
     PhaseProfile,
     float32_error_bound,
     localpush_max_rounds,
-    numba_available,
     resolve_kernel,
     shard_bounds,
     working_dtype,
@@ -56,23 +55,15 @@ class TestResolveKernel:
     def test_explicit_kernels_resolve_to_themselves(self, name):
         assert resolve_kernel(name) == name
 
-    def test_numba_degrades_to_fused_without_numba(self, monkeypatch):
-        monkeypatch.setattr("repro.simrank.kernels.numba_available",
-                            lambda: False)
-        assert resolve_kernel("numba") == "fused"
-
-    def test_numba_resolves_when_available(self, monkeypatch):
-        monkeypatch.setattr("repro.simrank.kernels.numba_available",
-                            lambda: True)
-        assert resolve_kernel("numba") == "numba"
-
     def test_unknown_kernel_raises(self):
-        with pytest.raises(SimRankError, match="kernel"):
-            resolve_kernel("cython")
+        for name in ("cython", "numba"):
+            with pytest.raises(SimRankError, match="kernel"):
+                resolve_kernel(name)
 
     def test_every_listed_kernel_resolves(self):
+        assert tuple(KERNELS) == ("auto", "scipy", "fused")
         for name in KERNELS:
-            assert resolve_kernel(name) in ("scipy", "fused", "numba")
+            assert resolve_kernel(name) in ("scipy", "fused")
 
     def test_working_dtype(self):
         assert working_dtype("float64") == np.float64
@@ -114,9 +105,9 @@ class TestShardBounds:
 
 
 class TestKernelBitIdentity:
-    """fused/numba/auto == scipy, bitwise, per executor × worker count."""
+    """fused/auto == scipy, bitwise, per executor × worker count."""
 
-    @pytest.mark.parametrize("kernel", ["fused", "auto", "numba"])
+    @pytest.mark.parametrize("kernel", ["fused", "auto"])
     @pytest.mark.parametrize("executor,workers", [
         ("serial", None), ("thread", 2), ("thread", 3), ("process", 2)])
     def test_full_matrix_bitwise(self, kernel, executor, workers):
@@ -175,10 +166,6 @@ class TestKernelBitIdentity:
         graph = star(6)
         assert localpush_engine(graph, kernel="auto").kernel == "fused"
         assert localpush_engine(graph, kernel="scipy").kernel == "scipy"
-        if not numba_available():
-            # Graceful degradation: requesting numba without the optional
-            # dependency silently runs the (bit-identical) fused kernel.
-            assert localpush_engine(graph, kernel="numba").kernel == "fused"
 
     def test_profile_accumulates_the_four_phases(self):
         profile = PhaseProfile()
